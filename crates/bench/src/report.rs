@@ -378,6 +378,15 @@ pub const HOT_PATH_TOLERANCE: f64 = 1.5;
 /// [`decode_pipeline_regressions`](BenchReport::decode_pipeline_regressions)).
 pub const DECODE_SPEEDUP_BOUND: f64 = 1.5;
 
+/// Floor of the serve-ingest gate: `serve-ingest` must sustain at least
+/// this fraction of the `edges_per_sec` of the `engine-persistent-w{w}`
+/// row at its batch size `w` and shard count. The daemon adds framing,
+/// protocol decode and one loopback round trip per frame to the engine's
+/// work; half the engine's rate leaves room for that and still catches a
+/// transport stall, which costs orders of magnitude (see
+/// [`serve_ingest_regressions`](BenchReport::serve_ingest_regressions)).
+pub const SERVE_INGEST_FLOOR: f64 = 0.5;
+
 impl BenchReport {
     /// Looks up a workload by name.
     pub fn workload(&self, name: &str) -> Option<&WorkloadResult> {
@@ -488,6 +497,29 @@ impl BenchReport {
         } else {
             vec![name.to_string()]
         }
+    }
+
+    /// Failures of the serve-ingest gate — the CI gate fails when
+    /// non-empty. `serve-ingest` is compared against the
+    /// `engine-persistent-w{w}` row with the same batch size and shard
+    /// count, and fails below [`SERVE_INGEST_FLOOR`] of its
+    /// `edges_per_sec`. A report without a `serve-ingest` row has nothing
+    /// to gate and passes; a report *with* one fails closed when the
+    /// engine partner is missing, has a different shard count, or either
+    /// rate is zero or NaN.
+    pub fn serve_ingest_regressions(&self) -> Vec<String> {
+        let Some(serve) = self.workload("serve-ingest") else {
+            return Vec::new();
+        };
+        let engine = serve
+            .batch
+            .and_then(|w| self.workload(&format!("engine-persistent-w{w}")));
+        let ok = engine.is_some_and(|engine| {
+            engine.shards == serve.shards
+                && engine.edges_per_sec > 0.0
+                && serve.edges_per_sec >= SERVE_INGEST_FLOOR * engine.edges_per_sec
+        });
+        (!ok).then(|| serve.name.clone()).into_iter().collect()
     }
 
     /// Renders the report as pretty-printed JSON in the documented schema.
@@ -979,6 +1011,34 @@ mod tests {
         assert!(report
             .hot_path_regressions()
             .contains(&"hot-path-pooled-w512".to_string()));
+    }
+
+    #[test]
+    fn serve_ingest_gate_compares_against_the_matching_engine_row() {
+        let mut report = sample_report();
+        // No serve-ingest row: nothing to gate.
+        assert!(report.serve_ingest_regressions().is_empty());
+        let row = |name: &str, kind, p50: f64| {
+            summarize_workload(name, kind, 20_000, &[p50], Some(4_096), Some(4), None, None)
+        };
+        report
+            .workloads
+            .push(row("serve-ingest", WorkloadKind::Serve, 0.01));
+        // The engine partner is missing: fail closed.
+        assert_eq!(report.serve_ingest_regressions(), vec!["serve-ingest"]);
+        report
+            .workloads
+            .push(row("engine-persistent-w4096", WorkloadKind::Engine, 0.008));
+        // 0.8x the engine's rate clears the 0.5x floor.
+        assert!(report.serve_ingest_regressions().is_empty());
+        let serve = report.workloads.len() - 2;
+        // A stalled daemon at 1/70 of the engine's rate fails.
+        report.workloads[serve] = row("serve-ingest", WorkloadKind::Serve, 0.56);
+        assert_eq!(report.serve_ingest_regressions(), vec!["serve-ingest"]);
+        // A partner at another shard count is no partner.
+        report.workloads[serve] = row("serve-ingest", WorkloadKind::Serve, 0.001);
+        report.workloads[serve].shards = Some(2);
+        assert_eq!(report.serve_ingest_regressions(), vec!["serve-ingest"]);
     }
 
     #[test]

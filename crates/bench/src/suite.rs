@@ -37,10 +37,13 @@
 //! * `serve-ingest` / `serve-query` — the `tristream-serve` daemon
 //!   measured end-to-end over a real loopback socket: EDGES-frame ingest
 //!   (framing + protocol decode + engine enqueue + final sync) and QUERY
-//!   round trips. The served estimate is checked bit-identical to an
-//!   offline twin built by the recipe `docs/PROTOCOL.md` documents, and
-//!   the mismatch fraction is the row's gated error (bound 0), so
-//!   `bench --check` enforces socket/offline parity.
+//!   round-trip latency. The served estimate is checked bit-identical to
+//!   an offline twin built by the recipe `docs/PROTOCOL.md` documents,
+//!   and the mismatch fraction is the row's gated error (bound 0), so
+//!   `bench --check` enforces socket/offline parity. `serve-ingest` also
+//!   feeds the
+//!   [`serve_ingest_regressions`](BenchReport::serve_ingest_regressions)
+//!   CI gate against the `engine-persistent-w{N}` row at its batch size.
 //! * `snapshot-encode` / `snapshot-restore` — checkpoint mechanics on the
 //!   serve engine recipe: a `TSS\0` snapshot is taken mid-stream
 //!   (`snapshot-encode` times the serialization and records the container
@@ -241,9 +244,8 @@ fn ingest_workloads(config: &BenchConfig) -> Result<Vec<WorkloadResult>, GraphEr
 }
 
 /// Decode workers for the `ingest-binary-parallel` row: the machine's
-/// available parallelism, capped at four — the same policy the serve
-/// daemon and the CLI use (`docs/OPERATIONS.md`), so the row measures the
-/// configuration operators actually run.
+/// available parallelism, capped at four — the cap `count --parallel`
+/// runs with (`docs/OPERATIONS.md`).
 fn bench_decode_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -613,8 +615,9 @@ fn head_to_head_workloads(config: &BenchConfig) -> Vec<WorkloadResult> {
 /// trial-salted seed, the engine stream is sent as EDGES frames of `w`
 /// edges, and a QUERY synchronises — so `serve-ingest` covers framing,
 /// protocol decode, engine enqueue and the final sync. A second, separate
-/// QUERY times `serve-query` round trips against the resident stream
-/// (its `edges` field records the stream size the query answers over).
+/// QUERY times a `serve-query` round trip against the resident stream.
+/// That row is latency-only: a QUERY folds no edges, so its `edges` and
+/// `edges_per_sec` are 0.
 ///
 /// The gated statistic on `serve-ingest` is *parity*, not accuracy: the
 /// fraction of trials whose served estimate was not bit-identical to the
@@ -708,7 +711,7 @@ fn serve_workloads(
     let mut query = summarize_workload(
         "serve-query",
         WorkloadKind::Serve,
-        edges.len() as u64,
+        0,
         &query_latencies,
         Some(w),
         Some(shards),
@@ -918,7 +921,6 @@ mod tests {
             "accuracy-jowhari-ghodsi",
             "accuracy-pagh-tsourakakis",
             "serve-ingest",
-            "serve-query",
             "snapshot-encode",
             "snapshot-restore",
         ] {
@@ -1044,9 +1046,13 @@ mod tests {
         assert_eq!(ingest.error_bound, Some(0.0), "the parity bound is exact");
         assert_eq!(ingest.algo.as_deref(), Some("neighborhood-bulk"));
         assert!(ingest.batch.is_some() && ingest.shards.is_some());
+        // serve-query is latency-only: a QUERY folds no edges.
         let query = report.workload("serve-query").unwrap();
         assert_eq!(query.kind, WorkloadKind::Serve);
         assert!(query.p50_latency_secs > 0.0, "queries must be timed");
+        assert_eq!(query.trials, 1);
+        assert_eq!((query.edges, query.edges_per_sec), (0, 0.0));
+        assert_eq!(query.batch, ingest.batch);
     }
 
     #[test]

@@ -324,21 +324,13 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 ));
             }
             out.push_str(&format!("wrote {}\n", output.display()));
-            let failures = report.gate_failures();
-            if failures.is_empty() {
-                out.push_str("accuracy gate: ok\n");
-            } else {
-                out.push_str(&format!("accuracy gate: FAILED for {failures:?}\n"));
-                if check {
-                    // The report is already on disk, so CI can upload the
-                    // artifact even though the gate fails the job.
-                    print!("{out}");
-                    return Err(format!(
-                        "accuracy gate failed: {failures:?} exceeded the documented error bound"
-                    )
-                    .into());
-                }
-            }
+            gate(
+                &mut out,
+                check,
+                "accuracy",
+                &report.gate_failures(),
+                "exceeded the documented error bound",
+            )?;
             // The hot-path gate: pooled rows must not be slower than their
             // reference rows beyond the documented HOT_PATH_TOLERANCE.
             // (The correctness half — bit-identical estimates — is asserted
@@ -347,48 +339,43 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             // optimised code: in a debug build the reference path leans on
             // the pre-optimised libstd HashMap while the pooled path's maps
             // compile without optimisation, so the ratio is noise — the
-            // gate is enforced in release builds (what the CI perf-smoke
-            // job runs) and skipped, visibly, otherwise.
+            // latency gates are enforced in release builds (what the CI
+            // perf-smoke job runs) and skipped, visibly, otherwise.
             if cfg!(debug_assertions) {
                 out.push_str("hot-path gate: skipped (unoptimised build)\n");
                 out.push_str("decode-pipeline gate: skipped (unoptimised build)\n");
+                out.push_str("serve-ingest gate: skipped (unoptimised build)\n");
             } else {
-                let regressions = report.hot_path_regressions();
-                if regressions.is_empty() {
-                    out.push_str("hot-path gate: ok\n");
-                } else {
-                    out.push_str(&format!("hot-path gate: FAILED for {regressions:?}\n"));
-                    if check {
-                        print!("{out}");
-                        return Err(format!(
-                            "hot-path gate failed: {regressions:?} slower than the reference \
-                             path beyond the documented tolerance"
-                        )
-                        .into());
-                    }
-                }
+                gate(
+                    &mut out,
+                    check,
+                    "hot-path",
+                    &report.hot_path_regressions(),
+                    "slower than the reference path beyond the documented tolerance",
+                )?;
                 // The decode-pipeline gate: the pipelined `.tsb` reader
                 // must never be slower than the sequential one beyond the
                 // tolerance, and on multi-core machines must deliver the
                 // documented decode speedup (the capability guard lives in
                 // the report, so single-core runners skip the speedup half
                 // instead of flaking).
-                let regressions = report.decode_pipeline_regressions();
-                if regressions.is_empty() {
-                    out.push_str("decode-pipeline gate: ok\n");
-                } else {
-                    out.push_str(&format!(
-                        "decode-pipeline gate: FAILED for {regressions:?}\n"
-                    ));
-                    if check {
-                        print!("{out}");
-                        return Err(format!(
-                            "decode-pipeline gate failed: {regressions:?} missed the documented \
-                             parallel-decode bound"
-                        )
-                        .into());
-                    }
-                }
+                gate(
+                    &mut out,
+                    check,
+                    "decode-pipeline",
+                    &report.decode_pipeline_regressions(),
+                    "missed the documented parallel-decode bound",
+                )?;
+                // The serve-ingest gate: the daemon must ingest at no less
+                // than SERVE_INGEST_FLOOR of the persistent engine's rate at
+                // the same batch size and shard count.
+                gate(
+                    &mut out,
+                    check,
+                    "serve-ingest",
+                    &report.serve_ingest_regressions(),
+                    "below the documented fraction of the persistent engine's rate",
+                )?;
             }
             Ok(out)
         }
@@ -690,6 +677,29 @@ fn run_client(
     }
 }
 
+/// Appends a bench gate's verdict to `out`. Under `--check` a failure
+/// prints `out` and ends the command with an error; the report is already
+/// on disk, so CI can upload the artifact even though the gate fails the
+/// job.
+fn gate(
+    out: &mut String,
+    check: bool,
+    name: &str,
+    failures: &[String],
+    why: &str,
+) -> Result<(), Box<dyn Error>> {
+    if failures.is_empty() {
+        out.push_str(&format!("{name} gate: ok\n"));
+        return Ok(());
+    }
+    out.push_str(&format!("{name} gate: FAILED for {failures:?}\n"));
+    if check {
+        print!("{out}");
+        return Err(format!("{name} gate failed: {failures:?} {why}").into());
+    }
+    Ok(())
+}
+
 /// The `count` subcommand's throughput report line: wall-clock edges/sec
 /// over the edges ingested. Sub-microsecond elapsed times (empty or
 /// trivially small inputs) report 0 instead of a nonsense rate.
@@ -741,7 +751,13 @@ mod tests {
     fn sample_graph_path() -> std::path::PathBuf {
         // 1,000-ish triangles, 3,000 edges: the paper's Table 1 workload.
         let stream = tristream_gen::triangle_rich_three_regular(2_000, 3);
-        write_temp_stream(&stream, "syn3reg.txt")
+        // One file per call: tests run in parallel, and one test rewriting
+        // a shared file while another reads it hands the reader a partial
+        // stream.
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("syn3reg-{}-{id}.txt", std::process::id());
+        write_temp_stream(&stream, &name)
     }
 
     #[test]

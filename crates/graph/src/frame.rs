@@ -45,9 +45,16 @@ fn read_failed(e: std::io::Error, offset: u64, reason: &'static str) -> GraphErr
     }
 }
 
-/// Writes one frame. The caller flushes (frames are often followed
-/// immediately by a read of the peer's reply, so flushing is part of the
-/// request/response discipline, not the framing).
+/// Writes one frame with a single `write_all`: the 5-byte header and the
+/// payload are assembled into one buffer first. The caller flushes (frames
+/// are often followed immediately by a read of the peer's reply, so
+/// flushing is part of the request/response discipline, not the framing).
+///
+/// The one-write contract exists for unbuffered sockets. Written
+/// separately, the header leaves as a tiny segment and Nagle's algorithm
+/// holds the payload back until that segment is acknowledged — which the
+/// peer, still waiting for the rest of the frame, delays by up to 40 ms.
+/// Every request and every reply would pay that stall.
 ///
 /// A payload longer than [`MAX_FRAME_PAYLOAD`] is refused with
 /// [`GraphError::Binary`] before anything is written, so a partial frame
@@ -60,9 +67,11 @@ pub fn write_frame<W: Write>(
     if payload.len() > MAX_FRAME_PAYLOAD as usize {
         return Err(frame_error(1, "frame payload exceeds MAX_FRAME_PAYLOAD"));
     }
-    writer.write_all(&[frame_type])?;
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.push(frame_type);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     Ok(())
 }
 
@@ -189,6 +198,42 @@ mod tests {
         let err = write_frame(&mut out, 0x01, &payload).unwrap_err();
         assert!(matches!(err, GraphError::Binary { .. }), "{err}");
         assert!(out.is_empty(), "no partial frame on the wire");
+    }
+
+    /// Counts `write` calls, accepting every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_exactly_one_write() {
+        for len in [0, 1, 64 << 10] {
+            let payload = vec![0xA5u8; len];
+            let mut wire = CountingWriter::default();
+            write_frame(&mut wire, 0x03, &payload).unwrap();
+            assert_eq!(wire.writes, 1, "payload of {len} bytes");
+            assert_eq!(wire.bytes[0], 0x03);
+            assert_eq!(wire.bytes[1..5], (len as u32).to_le_bytes());
+            assert_eq!(wire.bytes[5..], payload[..]);
+        }
+        let oversized = vec![0u8; MAX_FRAME_PAYLOAD as usize + 1];
+        let mut wire = CountingWriter::default();
+        assert!(write_frame(&mut wire, 0x03, &oversized).is_err());
+        assert_eq!(wire.writes, 0, "a refused frame writes nothing");
     }
 
     /// Fails every read with a non-EOF I/O error.

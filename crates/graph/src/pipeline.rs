@@ -39,10 +39,6 @@
 //! thread. All channels
 //! are bounded: a slow consumer stalls the reader after
 //! `2 × depth × workers` blocks, never an unbounded queue.
-//!
-//! For already-resident byte slices (the serve `EDGES` frame payload)
-//! [`read_edges_binary_parallel`] skips the channels entirely and decodes
-//! contiguous record ranges on scoped threads.
 
 use crate::binary::{
     binary_error, decode_edge, read_failed, read_tsb_header, TsbHeader, HEADER_LEN,
@@ -50,7 +46,6 @@ use crate::binary::{
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::ring;
-use crate::stream::EdgeStream;
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -61,11 +56,6 @@ use std::thread::JoinHandle;
 /// scheduling jitter, shallow enough that a stalled consumer stops the
 /// reader almost immediately.
 const CHANNEL_DEPTH: usize = 4;
-
-/// Below this many records, [`read_edges_binary_parallel`] decodes
-/// sequentially: fan-out costs more than the decode itself for small
-/// payloads (a serve `EDGES` frame is typically a few thousand records).
-const PARALLEL_MIN_RECORDS: u64 = 1 << 15;
 
 /// One undecoded block of records, as dealt by the reader thread.
 struct RawBlock {
@@ -365,63 +355,10 @@ impl Drop for PipelinedTsbBatches {
     }
 }
 
-/// Decodes an already-resident `.tsb` byte slice with `workers` scoped
-/// threads over contiguous record ranges, concatenating the parts in
-/// order — the zero-copy-in, parallel-decode counterpart of
-/// [`read_edges_binary`](crate::binary::read_edges_binary) for payloads
-/// that arrive whole (the serve `EDGES` frame).
-///
-/// Produces exactly the same `EdgeStream` or error as the sequential
-/// reader: the first malformed record in stream order wins, with its
-/// exact byte offset. Small payloads (fewer than a few tens of thousands
-/// of records) and `workers <= 1` fall through to the sequential reader,
-/// where fan-out would cost more than it saves.
-pub fn read_edges_binary_parallel(bytes: &[u8], workers: usize) -> Result<EdgeStream, GraphError> {
-    let mut cursor = bytes;
-    let header = read_tsb_header(&mut cursor)?;
-    let rec = header.record_len() as u64;
-    let expected = HEADER_LEN + header.edges * rec;
-    if workers <= 1 || header.edges < PARALLEL_MIN_RECORDS || bytes.len() as u64 != expected {
-        // Sequential fallback: small payloads, and malformed lengths
-        // (truncated records, trailing bytes) so the error offsets come
-        // from the one canonical implementation.
-        return crate::binary::read_edges_binary(bytes);
-    }
-    let records = &bytes[HEADER_LEN as usize..];
-    let workers = workers.min((header.edges / PARALLEL_MIN_RECORDS).max(1) as usize);
-    let per_worker = header.edges.div_ceil(workers as u64);
-    let mut parts: Vec<Result<Vec<Edge>, GraphError>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers as u64 {
-            let first = w * per_worker;
-            let count = per_worker.min(header.edges - first);
-            let range = &records[(first * rec) as usize..((first + count) * rec) as usize];
-            handles.push(scope.spawn(move || {
-                let mut part = Vec::with_capacity(count as usize);
-                decode_block(range, first, rec as usize, &mut part)?;
-                Ok(part)
-            }));
-        }
-        for h in handles {
-            #[allow(clippy::expect_used)]
-            // analyze: allow(P1, reason = "join fails only if the decode closure panicked, and that closure is panic-free by construction; resurfacing beats returning a fabricated decode error")
-            parts.push(h.join().expect("joining scoped decode thread"));
-        }
-    });
-    let mut edges = Vec::with_capacity(header.edges as usize);
-    for part in parts {
-        edges.extend_from_slice(&part?);
-    }
-    Ok(EdgeStream::new(edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{
-        read_edges_binary, read_edges_binary_batched, write_edges_binary, TSB_VERSION,
-    };
+    use crate::binary::{read_edges_binary_batched, write_edges_binary, TSB_VERSION};
     use std::io::Cursor;
 
     fn path_edges(n: u64) -> Vec<Edge> {
@@ -555,51 +492,5 @@ mod tests {
             it.recycle(batch);
         }
         assert_eq!(flat, edges);
-    }
-
-    #[test]
-    fn parallel_slice_decode_matches_the_sequential_reader() {
-        // Large enough to clear the fan-out threshold.
-        let edges = path_edges(2 * PARALLEL_MIN_RECORDS + 17);
-        let buf = encode(&edges);
-        for workers in [1, 2, 4] {
-            let stream = read_edges_binary_parallel(&buf, workers).unwrap();
-            assert_eq!(stream.edges(), edges.as_slice(), "workers = {workers}");
-        }
-        // Small payloads take the sequential path and still round-trip.
-        let small = encode(&path_edges(10));
-        assert_eq!(
-            read_edges_binary_parallel(&small, 4).unwrap().edges(),
-            path_edges(10).as_slice()
-        );
-    }
-
-    #[test]
-    fn parallel_slice_decode_reports_the_first_error_in_stream_order() {
-        let n = 2 * PARALLEL_MIN_RECORDS;
-        let mut buf = encode(&path_edges(n));
-        // Two self-loops, one in each half; the earlier offset must win.
-        for bad in [n - 1, 5] {
-            let off = (HEADER_LEN + bad * 16) as usize;
-            buf[off..off + 8].copy_from_slice(&3u64.to_le_bytes());
-            buf[off + 8..off + 16].copy_from_slice(&3u64.to_le_bytes());
-        }
-        let err = read_edges_binary_parallel(&buf, 4).unwrap_err();
-        let expected = read_edges_binary(buf.as_slice()).unwrap_err();
-        assert_eq!(err.to_string(), expected.to_string());
-        match err {
-            GraphError::Binary { offset, .. } => assert_eq!(offset, HEADER_LEN + 5 * 16),
-            other => panic!("expected a binary error, got {other}"),
-        }
-        // Truncated and padded payloads fall back to the sequential
-        // reader's exact errors.
-        let good = encode(&path_edges(n));
-        let trunc_err = read_edges_binary_parallel(&good[..good.len() - 1], 4).unwrap_err();
-        let trunc_expected = read_edges_binary(&good[..good.len() - 1]).unwrap_err();
-        assert_eq!(trunc_err.to_string(), trunc_expected.to_string());
-        let mut padded = good.clone();
-        padded.push(0);
-        let pad_err = read_edges_binary_parallel(&padded, 4).unwrap_err();
-        assert!(pad_err.to_string().contains("trailing"), "{pad_err}");
     }
 }

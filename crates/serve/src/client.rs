@@ -148,6 +148,10 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         let conn =
             TcpStream::connect(addr).map_err(|e| ClientError::Transport(GraphError::Io(e)))?;
+        // Requests go out the moment they are written, never held back by
+        // Nagle's algorithm waiting on the server's (delayed) ACK.
+        conn.set_nodelay(true)
+            .map_err(|e| ClientError::Transport(GraphError::Io(e)))?;
         let peer = conn.peer_addr().ok();
         let mut client = Self { conn, peer };
         client.expect_ok(&Request::Hello {

@@ -15,8 +15,7 @@
 //! can answer with — never a panic.
 
 use std::fmt;
-use tristream_graph::binary::write_edges_binary;
-use tristream_graph::pipeline::read_edges_binary_parallel;
+use tristream_graph::binary::{read_edges_binary, write_edges_binary};
 use tristream_graph::{Edge, GraphError};
 
 /// The four magic bytes opening every connection's HELLO payload —
@@ -412,18 +411,6 @@ impl Request {
         Ok(out)
     }
 
-    /// Decode workers for `EDGES` payloads: the machine's parallelism,
-    /// capped low — frame decoding shares the box with every session's
-    /// estimation shards, and the parallel decoder only engages above its
-    /// own size threshold anyway (see `docs/OPERATIONS.md` on thread
-    /// budgeting).
-    fn edge_decode_workers() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(4)
-    }
-
     /// Decodes a request from its frame type byte and payload.
     pub fn decode(frame_type: u8, payload: &[u8]) -> Result<Request, WireError> {
         let frame_type = FrameType::from_byte(frame_type)
@@ -460,10 +447,7 @@ impl Request {
             },
             FrameType::Edges => {
                 let name = cur.string()?;
-                // The payload is already resident, so large frames decode
-                // on scoped worker threads (small ones fall through to the
-                // sequential reader inside `read_edges_binary_parallel`).
-                let edges = read_edges_binary_parallel(cur.rest(), Self::edge_decode_workers())
+                let edges = read_edges_binary(cur.rest())
                     .map_err(|e| WireError::new(ErrorCode::BadEdgePayload, e.to_string()))?;
                 return Ok(Request::Edges {
                     name,
@@ -898,6 +882,64 @@ mod tests {
         let err = Request::decode(FrameType::Edges.byte(), &bad).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadEdgePayload);
         assert!(err.message.contains("magic"), "{err}");
+    }
+
+    /// A path of `n` edges: every record valid, none repeated.
+    fn path_edges(n: u64) -> Vec<Edge> {
+        (0..n).map(|i| Edge::new(i, i + 1)).collect()
+    }
+
+    /// An EDGES payload for stream `"s"` wrapping `tsb` verbatim.
+    fn edges_payload(tsb: &[u8]) -> Vec<u8> {
+        let mut payload = vec![1, 0, b's'];
+        payload.extend_from_slice(tsb);
+        payload
+    }
+
+    #[test]
+    fn large_edges_frames_decode_to_the_encoded_edges() {
+        let edges = path_edges((1 << 16) + 17);
+        round_trip_request(Request::Edges {
+            name: "big".into(),
+            edges,
+        });
+    }
+
+    #[test]
+    fn bad_edge_records_truncation_and_padding_report_the_reader_offset() {
+        let n = 1u64 << 16;
+        let mut tsb = Vec::new();
+        write_edges_binary(&path_edges(n), &mut tsb).unwrap();
+        let header_len = tsb.len() - 16 * n as usize;
+        // Refused with BAD_EDGE_PAYLOAD, carrying exactly the sequential
+        // reader's error; returns that error's byte offset.
+        let refusal_offset = |tsb: &[u8], reason: &str| -> u64 {
+            let err = Request::decode(FrameType::Edges.byte(), &edges_payload(tsb)).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadEdgePayload);
+            assert!(err.message.contains(reason), "{err}");
+            let reader_err = read_edges_binary(tsb).unwrap_err();
+            assert_eq!(err.message, reader_err.to_string());
+            match reader_err {
+                GraphError::Binary { offset, .. } => offset,
+                other => panic!("expected a binary error, got {other}"),
+            }
+        };
+        // Two self-loops, one near each end: the earlier record is reported.
+        let mut bad = tsb.clone();
+        for record in [n - 1, 5] {
+            let off = header_len + 16 * record as usize;
+            bad[off..off + 8].copy_from_slice(&3u64.to_le_bytes());
+            bad[off + 8..off + 16].copy_from_slice(&3u64.to_le_bytes());
+        }
+        let offset = refusal_offset(&bad, "self-loop");
+        assert_eq!(offset, (header_len + 16 * 5) as u64);
+        // A payload cut inside its last record.
+        refusal_offset(&tsb[..tsb.len() - 1], "truncated");
+        // A payload with a byte past its last record.
+        let mut padded = tsb.clone();
+        padded.push(0);
+        let offset = refusal_offset(&padded, "trailing");
+        assert_eq!(offset, tsb.len() as u64);
     }
 
     #[test]

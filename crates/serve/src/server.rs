@@ -289,6 +289,9 @@ fn drive_connection(
         .map_err(GraphError::Io)?;
     conn.set_write_timeout(shared.write_timeout)
         .map_err(GraphError::Io)?;
+    // Replies go out the moment they are written, never held back by
+    // Nagle's algorithm waiting on the peer's (delayed) ACK.
+    conn.set_nodelay(true).map_err(GraphError::Io)?;
     let mut hello_done = false;
     // Consecutive boundary-poll timeouts with no frame: the idle deadline,
     // measured in polls so the decision is a count, not a clock read.

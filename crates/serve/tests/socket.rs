@@ -365,6 +365,33 @@ fn version_mismatches_are_refused_with_unsupported_version() {
     server.join().expect("join").expect("server run");
 }
 
+/// Regression guard for the Nagle × delayed-ACK stall: a frame written in
+/// pieces onto a socket without `TCP_NODELAY` waits up to 40 ms for the
+/// peer's ACK, so 100 round trips took seconds. Without the stall each is
+/// well under a millisecond, even in a debug build.
+#[test]
+fn query_round_trips_do_not_stall_on_the_socket() {
+    let (addr, server) = spawn_server();
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .create_stream(&CreateStream::new("quick", "neighborhood-bulk"))
+        .expect("create");
+    client
+        .send_edges("quick", &test_edges()[..256])
+        .expect("edges");
+    let start = std::time::Instant::now();
+    for _ in 0..100 {
+        client.query("quick").expect("query");
+    }
+    let elapsed = start.elapsed();
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+    assert!(
+        elapsed < std::time::Duration::from_millis(1500),
+        "100 QUERY round trips took {elapsed:?}"
+    );
+}
+
 /// Compile-time-ish guard used by the drain test above: a `ClientError`
 /// display never panics (exercises the error plumbing end to end).
 #[test]
