@@ -11,15 +11,10 @@
 //!
 //! Workloads:
 //!
-//! * `ingest-text` / `ingest-binary` / `ingest-binary-parallel` — batched
-//!   file ingestion of the same synthetic stream through the SNAP text
-//!   codec, the `.tsb` binary codec, and the pipelined multi-threaded
-//!   `.tsb` reader (reader thread + decode workers, recycling consumer).
-//!   The binary-vs-text `edges_per_sec` ratio is the payoff of the binary
-//!   format (target: ≥5×); the parallel-vs-sequential ratio feeds the
-//!   capability-guarded
-//!   [`decode_pipeline_regressions`](BenchReport::decode_pipeline_regressions)
-//!   CI gate.
+//! * `ingest-text` / `ingest-binary` — batched file ingestion of the same
+//!   synthetic stream through the SNAP text codec and the `.tsb` binary
+//!   codec. The binary-vs-text `edges_per_sec` ratio is the payoff of the
+//!   binary format (target: ≥5×).
 //! * `engine-spawn-w{N}` / `engine-persistent-w{N}` — spawn-per-batch
 //!   scoped threads vs the persistent [`ShardedEngine`] worker pool across
 //!   batch sizes `w = 256 … 65536`, same seeds, bit-identical estimates.
@@ -71,7 +66,6 @@ use tristream_core::{
 use tristream_gen::DatasetKind;
 use tristream_graph::binary::{read_edges_binary_batched_file, write_edges_binary_file};
 use tristream_graph::io::{read_edge_list_batched_file, write_edge_list_file};
-use tristream_graph::pipeline::read_edges_binary_pipelined_file;
 use tristream_graph::{Edge, EdgeStream, GraphError};
 use tristream_sample::{salted_seed, splitmix64_next};
 use tristream_serve::{Client, CreateStream, Server, SERVE_STREAM_HINT};
@@ -243,16 +237,6 @@ fn ingest_workloads(config: &BenchConfig) -> Result<Vec<WorkloadResult>, GraphEr
     result
 }
 
-/// Decode workers for the `ingest-binary-parallel` row: the machine's
-/// available parallelism, capped at four — the cap `count --parallel`
-/// runs with (`docs/OPERATIONS.md`).
-fn bench_decode_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(4)
-}
-
 fn ingest_workloads_in(
     config: &BenchConfig,
     edges: &[Edge],
@@ -263,10 +247,8 @@ fn ingest_workloads_in(
     write_edge_list_file(&EdgeStream::new(edges.to_vec()), &text_path)?;
     write_edges_binary_file(edges, &tsb_path)?;
 
-    let workers = bench_decode_workers();
     let mut text_latencies = Vec::with_capacity(config.trials);
     let mut binary_latencies = Vec::with_capacity(config.trials);
-    let mut parallel_latencies = Vec::with_capacity(config.trials);
     for trial in 0..config.trials {
         // Rotate the order so filesystem cache warmth cannot
         // systematically favour whichever codec runs later in a trial.
@@ -290,36 +272,12 @@ fn ingest_workloads_in(
             assert_eq!(seen, edges.len(), "binary reader must cover the stream");
             Ok(())
         };
-        let run_parallel = |latencies: &mut Vec<f64>| -> Result<(), GraphError> {
-            let start = Instant::now();
-            let mut seen = 0usize;
-            let mut reader =
-                read_edges_binary_pipelined_file(&tsb_path, config.ingest_batch, workers)?;
-            while let Some(batch) = reader.next() {
-                let batch = batch?;
-                seen += batch.len();
-                reader.recycle(batch);
-            }
-            latencies.push(start.elapsed().as_secs_f64());
-            assert_eq!(seen, edges.len(), "pipelined reader must cover the stream");
-            Ok(())
-        };
-        match trial % 3 {
-            0 => {
-                run_text(&mut text_latencies)?;
-                run_binary(&mut binary_latencies)?;
-                run_parallel(&mut parallel_latencies)?;
-            }
-            1 => {
-                run_binary(&mut binary_latencies)?;
-                run_parallel(&mut parallel_latencies)?;
-                run_text(&mut text_latencies)?;
-            }
-            _ => {
-                run_parallel(&mut parallel_latencies)?;
-                run_text(&mut text_latencies)?;
-                run_binary(&mut binary_latencies)?;
-            }
+        if trial % 2 == 0 {
+            run_text(&mut text_latencies)?;
+            run_binary(&mut binary_latencies)?;
+        } else {
+            run_binary(&mut binary_latencies)?;
+            run_text(&mut text_latencies)?;
         }
     }
 
@@ -338,16 +296,6 @@ fn ingest_workloads_in(
     Ok(vec![
         summarize("ingest-text", &text_latencies),
         summarize("ingest-binary", &binary_latencies),
-        summarize_workload(
-            "ingest-binary-parallel",
-            WorkloadKind::Ingest,
-            edges.len() as u64,
-            &parallel_latencies,
-            Some(config.ingest_batch),
-            Some(workers),
-            None,
-            None,
-        ),
     ])
 }
 
@@ -896,17 +844,16 @@ mod tests {
     #[test]
     fn suite_runs_end_to_end_and_passes_its_own_gate() {
         let report = run_suite(&tiny_config()).unwrap();
-        // 3 ingest + 2 engine + 2 hot-path (one batch size) + 2 accuracy +
+        // 2 ingest + 2 engine + 2 hot-path (one batch size) + 2 accuracy +
         // 2 serve + 2 snapshot + the equal-memory head-to-head family (one
         // row per registry entry).
         assert_eq!(
             report.workloads.len(),
-            13 + tristream_baselines::registry().len()
+            12 + tristream_baselines::registry().len()
         );
         for name in [
             "ingest-text",
             "ingest-binary",
-            "ingest-binary-parallel",
             "engine-spawn-w128",
             "engine-persistent-w128",
             "hotpath-reference-w128",
@@ -942,11 +889,6 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(report.speedup("ingest-binary", "ingest-text").is_some());
-        assert!(report
-            .speedup("ingest-binary-parallel", "ingest-binary")
-            .is_some());
-        let parallel = report.workload("ingest-binary-parallel").unwrap();
-        assert_eq!(parallel.shards, Some(bench_decode_workers()));
         assert!(report
             .speedup("hotpath-pooled-w128", "hotpath-reference-w128")
             .is_some());

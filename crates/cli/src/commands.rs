@@ -26,7 +26,6 @@ use tristream_graph::binary::{
     write_edges_binary_timestamped_file,
 };
 use tristream_graph::io::{read_edge_list_batched_file, read_edge_list_file, write_edge_list_file};
-use tristream_graph::pipeline::read_edges_binary_pipelined_file;
 use tristream_graph::{Edge, EdgeStream, GraphError, GraphSummary};
 use tristream_serve::{Client, CreateStream, RetryPolicy, Server, ServerOptions, StreamCheckpoint};
 
@@ -59,33 +58,10 @@ fn open_batched_auto<P: AsRef<Path>>(
     }
 }
 
-/// [`open_batched_auto`] for the `--parallel` paths: `.tsb` inputs go
-/// through the pipelined reader (a reader thread plus decode workers on
-/// bounded channels), so decoding overlaps with the estimation shards
-/// instead of serialising in front of them. Batches, batch boundaries and
-/// errors are identical to the single-threaded reader, so estimates are
-/// unchanged. Text inputs keep the line reader — parsing text in parallel
-/// would change nothing observable but the thread count.
-fn open_batched_parallel<P: AsRef<Path>>(
-    path: P,
-    batch_size: usize,
-) -> Result<BatchSource, GraphError> {
-    if is_tsb_path(&path) {
-        Ok(Box::new(read_edges_binary_pipelined_file(
-            path,
-            batch_size,
-            decode_workers(),
-        )?))
-    } else {
-        Ok(Box::new(read_edge_list_batched_file(path, batch_size)?))
-    }
-}
-
 /// Wraps a batch source, accumulating the wall clock spent inside
-/// `next()` — the decode component of `count`'s split timing report. With
-/// the pipelined reader this is the time the consumer *waited* on
-/// decoding; fully overlapped decode shows up as a near-zero decode
-/// component, which is exactly the claim worth measuring.
+/// `next()` — the decode component of `count`'s split timing report.
+/// Files decode on the consuming thread, so this is the time spent
+/// reading and parsing records.
 struct TimedBatches {
     inner: BatchSource,
     decode_secs: Rc<Cell<f64>>,
@@ -104,9 +80,8 @@ impl Iterator for TimedBatches {
 }
 
 /// The `count` subcommand's decode/estimate split line: how much of the
-/// elapsed wall clock went to producing edges (file I/O + record decoding,
-/// or — under the pipelined reader — waiting for it) versus consuming them
-/// (estimation).
+/// elapsed wall clock went to producing edges (file I/O + record decoding)
+/// versus consuming them (estimation).
 fn split_line(decode_secs: f64, elapsed_secs: f64) -> String {
     format!(
         "wall clock: decode {decode_secs:.3} s, estimate {:.3} s\n",
@@ -156,7 +131,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 let mut counter = ParallelBulkTriangleCounter::new(estimators.max(1), shards, seed);
                 let decode_secs = Rc::new(Cell::new(0.0));
                 let source = TimedBatches {
-                    inner: open_batched_parallel(&input, batch)?,
+                    inner: open_batched_auto(&input, batch)?,
                     decode_secs: Rc::clone(&decode_secs),
                 };
                 let edges = counter.process_source(source)?;
@@ -312,11 +287,6 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             if let Some(speedup) = report.speedup("ingest-binary", "ingest-text") {
                 out.push_str(&format!("binary vs text ingest speedup: {speedup:.2}x\n"));
             }
-            if let Some(speedup) = report.speedup("ingest-binary-parallel", "ingest-binary") {
-                out.push_str(&format!(
-                    "parallel vs sequential .tsb decode: {speedup:.2}x\n"
-                ));
-            }
             if let Some(speedup) = report.speedup("hotpath-pooled-w4096", "hotpath-reference-w4096")
             {
                 out.push_str(&format!(
@@ -343,7 +313,6 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
             // perf-smoke job runs) and skipped, visibly, otherwise.
             if cfg!(debug_assertions) {
                 out.push_str("hot-path gate: skipped (unoptimised build)\n");
-                out.push_str("decode-pipeline gate: skipped (unoptimised build)\n");
                 out.push_str("serve-ingest gate: skipped (unoptimised build)\n");
             } else {
                 gate(
@@ -352,19 +321,6 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                     "hot-path",
                     &report.hot_path_regressions(),
                     "slower than the reference path beyond the documented tolerance",
-                )?;
-                // The decode-pipeline gate: the pipelined `.tsb` reader
-                // must never be slower than the sequential one beyond the
-                // tolerance, and on multi-core machines must deliver the
-                // documented decode speedup (the capability guard lives in
-                // the report, so single-core runners skip the speedup half
-                // instead of flaking).
-                gate(
-                    &mut out,
-                    check,
-                    "decode-pipeline",
-                    &report.decode_pipeline_regressions(),
-                    "missed the documented parallel-decode bound",
                 )?;
                 // The serve-ingest gate: the daemon must ingest at no less
                 // than SERVE_INGEST_FLOOR of the persistent engine's rate at
@@ -530,7 +486,7 @@ fn run_count_algo(
         });
         let decode_secs = Rc::new(Cell::new(0.0));
         let source = TimedBatches {
-            inner: open_batched_parallel(input, batch)?,
+            inner: open_batched_auto(input, batch)?,
             decode_secs: Rc::clone(&decode_secs),
         };
         let edges = counter.process_source(source)?;
@@ -718,14 +674,6 @@ fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Decode workers for the pipelined `.tsb` reader under `--parallel`: one
-/// short of the machine (the estimation shards want the rest), capped at
-/// four — block decoding is memcpy-bound and stops scaling long before the
-/// estimator pool does. See `docs/OPERATIONS.md` on thread budgeting.
-fn decode_workers() -> usize {
-    default_shards().saturating_sub(1).clamp(1, 4)
 }
 
 /// Maps a CLI dataset slug to its [`DatasetKind`].
@@ -1039,18 +987,18 @@ mod tests {
         assert!(summary.contains("n=2000"), "{summary}");
         assert!(summary.contains("m=3000"), "{summary}");
 
-        // Sequential count from .tsb must match the count from text: the
-        // same stream feeds the same seeded counter. Only the elapsed-time
-        // field may differ between the two reports.
-        let count = |input: std::path::PathBuf| {
+        // Count from .tsb must match the count from text: the same stream
+        // feeds the same seeded counter. Only the elapsed-time field may
+        // differ between the two reports.
+        let count = |input: std::path::PathBuf, parallel: bool| {
             run(Command::Count {
                 input,
                 estimators: Some(5_000),
-                batch: None,
+                batch: parallel.then_some(512),
                 seed: 3,
                 exact: false,
-                parallel: false,
-                shards: None,
+                parallel,
+                shards: parallel.then_some(2),
                 algo: None,
                 window: None,
             })
@@ -1068,24 +1016,18 @@ mod tests {
             format!("{head} … {tail}")
         };
         assert_eq!(
-            without_elapsed(count(tsb.clone())),
-            without_elapsed(count(text_in))
+            without_elapsed(count(tsb.clone(), false)),
+            without_elapsed(count(text_in.clone(), false))
         );
 
-        // Parallel count streams the binary file through the engine.
-        let parallel = run(Command::Count {
-            input: tsb,
-            estimators: Some(5_000),
-            batch: Some(512),
-            seed: 3,
-            exact: false,
-            parallel: true,
-            shards: Some(2),
-            algo: None,
-            window: None,
-        })
-        .unwrap();
+        // The same holds under `--parallel`: both codecs feed the sharded
+        // engine identical batches, so the reports agree bit for bit.
+        let parallel = count(tsb, true);
         assert!(parallel.contains("3000 edges"), "{parallel}");
+        assert_eq!(
+            without_elapsed(parallel),
+            without_elapsed(count(text_in, true))
+        );
     }
 
     #[test]

@@ -366,8 +366,8 @@ fn convert_and_binary_count_end_to_end() {
         "{}",
         stdout(&count)
     );
-    // `.tsb` + `--parallel` runs the pipelined decoder; the report must
-    // still split wall clock into decode and estimate components.
+    // `.tsb` + `--parallel` streams batches into the sharded engine; the
+    // report must still split wall clock into decode and estimate components.
     assert!(
         stdout(&count).contains("wall clock: decode "),
         "binary parallel count must report the decode/estimate split:\n{}",
@@ -492,14 +492,13 @@ fn bench_smoke_emits_machine_readable_json() {
     let json = std::fs::read_to_string(&json_path).expect("bench wrote the report");
     for field in [
         "\"schema\": \"tristream-bench\"",
-        "\"schema_version\": 6",
+        "\"schema_version\": 7",
         "\"snapshot-encode\"",
         "\"snapshot-restore\"",
         "\"kind\": \"snapshot\"",
         "\"snapshot_words\"",
         "\"ingest-text\"",
         "\"ingest-binary\"",
-        "\"ingest-binary-parallel\"",
         "\"engine-spawn-w256\"",
         "\"engine-persistent-w65536\"",
         "\"hotpath-reference-w4096\"",
@@ -516,7 +515,6 @@ fn bench_smoke_emits_machine_readable_json() {
         "\"memory_words\"",
         "\"budget_words\"",
         "\"binary_vs_text_ingest_speedup\"",
-        "\"parallel_vs_sequential_decode_speedup\"",
     ] {
         assert!(json.contains(field), "BENCH.json missing {field}:\n{json}");
     }

@@ -26,7 +26,7 @@
 //!   the next batch with processing the current one. Queues are bounded
 //!   (a few batches deep), so a producer that outruns the workers blocks
 //!   instead of accumulating the whole stream in memory. Any state read
-//!   ([`ShardedEngine::map_shards`], [`ShardedEngine::snapshot`]) first
+//!   ([`ShardedEngine::map_shards`], [`ShardedEngine::clone_shards`]) first
 //!   waits — on a condvar, not by spinning — until every shard has drained
 //!   its queue, so observed results are identical to fully synchronous
 //!   processing.
@@ -330,17 +330,17 @@ impl<C: TriangleEstimator + Send + Clone + 'static> ShardedEngine<C> {
     /// Synchronises and clones every shard's counter — the building block
     /// for cloning or re-configuring a running engine. Only available when
     /// the shard estimator is `Clone` (boxed trait objects are not).
-    pub fn snapshot(&self) -> Vec<C> {
+    pub fn clone_shards(&self) -> Vec<C> {
         self.map_shards(|shard| shard.clone())
     }
 }
 
 impl<C: TriangleEstimator + Send + Clone + 'static> Clone for ShardedEngine<C> {
-    /// Clones the engine by snapshotting shard state into a fresh worker
+    /// Clones the engine by copying shard state into a fresh worker
     /// pool. The clone starts with its own threads and an independent
     /// progress count, but identical counter state.
     fn clone(&self) -> Self {
-        ShardedEngine::new(self.snapshot())
+        ShardedEngine::new(self.clone_shards())
     }
 }
 

@@ -1,20 +1,19 @@
 //! Hand-unrolled u64×4 lane helpers for the bulk hot path.
 //!
-//! The `simd` cargo feature (default on) selects
-//! [`BulkKernel::Lanes`](crate::bulk::BulkKernel) as the default dispatch
-//! of [`BulkTriangleCounter::process_batch`](crate::bulk::BulkTriangleCounter::process_batch);
-//! the helpers here are *portable-SIMD-shaped* — fixed-width `[u64; LANES]`
-//! groups that a vectorising backend maps onto 256-bit registers — but they
-//! compile on every target and are **always built**, so the scalar fallback
-//! and the lane path can be compared bit-for-bit inside one binary (see
-//! `tests/lane_equivalence.rs`).
+//! [`BulkTriangleCounter::process_batch`](crate::bulk::BulkTriangleCounter::process_batch)
+//! runs its steps in lane groups built from these helpers. They are
+//! *portable-SIMD-shaped* — fixed-width `[u64; LANES]` groups that a
+//! vectorising backend maps onto 256-bit registers — but compile on every
+//! target. The lane kernel is checked bit-for-bit against
+//! [`ReferenceBulkCounter`](crate::reference::ReferenceBulkCounter) at
+//! every lane remainder (see `tests/pool_equivalence.rs`).
 //!
 //! # Bit-identity contract
 //!
 //! [`lemire4`] replicates the vendored `rand` crate's bounded-draw formula
 //! — `(raw as u128 * span as u128) >> 64`, one raw `u64` per draw — over a
 //! lane group, so a kernel that draws a group at a time consumes the RNG
-//! stream in exactly the order the scalar loop does. Everything else in
+//! stream in exactly the order a per-item loop does. Everything else in
 //! this module is memory schedule (whole-word bitset masks in
 //! [`crate::pool`], probe-start prefetching for [`crate::fastmap::FastMap`])
 //! and cannot change results by construction.

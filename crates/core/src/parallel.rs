@@ -116,11 +116,11 @@ impl ParallelBulkTriangleCounter {
     /// [`Level1Strategy::GeometricSkip`].
     ///
     /// Intended to be called at construction time; state already processed
-    /// is preserved (the shards are snapshotted into a fresh worker pool).
+    /// is preserved (the shards are cloned into a fresh worker pool).
     pub fn with_level1_strategy(self, strategy: Level1Strategy) -> Self {
         let counters = self
             .engine
-            .snapshot()
+            .clone_shards()
             .into_iter()
             .map(|counter| counter.with_level1_strategy(strategy))
             .collect();

@@ -49,7 +49,7 @@ pub const TSB_VERSION: u16 = 1;
 const FLAG_TIMESTAMPS: u16 = 1;
 
 /// Size of the fixed header in bytes.
-pub(crate) const HEADER_LEN: u64 = 16;
+const HEADER_LEN: u64 = 16;
 
 /// The parsed fixed header of a `.tsb` stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,9 +86,10 @@ pub(crate) fn binary_error(offset: u64, reason: &'static str) -> GraphError {
 }
 
 /// Classifies a failed `read_exact`: only an unexpected EOF means the
-/// stream is truncated (corruption); any other kind is a real I/O failure
-/// and must surface as such, so a transient disk error is never
-/// misdiagnosed as a malformed file.
+/// stream (or, for [`frame`](crate::frame), the frame) is truncated
+/// (corruption); any other kind is a real I/O failure and must surface as
+/// such, so a transient disk error is never misdiagnosed as a malformed
+/// input.
 pub(crate) fn read_failed(e: std::io::Error, offset: u64, reason: &'static str) -> GraphError {
     if e.kind() == std::io::ErrorKind::UnexpectedEof {
         binary_error(offset, reason)
@@ -178,7 +179,7 @@ pub fn write_edges_binary_timestamped_file<P: AsRef<Path>>(
 }
 
 /// Decodes one record. `offset` is the record's byte offset, for errors.
-pub(crate) fn decode_edge(raw: &[u8], offset: u64) -> Result<Edge, GraphError> {
+fn decode_edge(raw: &[u8], offset: u64) -> Result<Edge, GraphError> {
     #[allow(clippy::expect_used)]
     // analyze: allow(P1, reason = "infallible: callers hand decode_edge chunks_exact(record_len >= 16) slices, so the constant-width subslice always converts")
     let u = u64::from_le_bytes(raw[0..8].try_into().expect("8-byte slice"));
@@ -232,10 +233,13 @@ impl<R: Read> RecordReader<R> {
     ) -> Result<(), GraphError> {
         let rec = self.header.record_len();
         let count = (self.remaining().min(max as u64)) as usize;
-        self.block.resize(count * rec, 0);
-        self.reader
-            .read_exact(&mut self.block)
-            .map_err(|e| read_failed(e, self.offset(), "truncated record data"))?;
+        self.fill_block(count * rec)?;
+        // The records are in hand now, so this reservation is bounded by
+        // bytes actually read, never by the header's claimed count.
+        out.reserve(count);
+        if let Some(ts) = timestamps.as_deref_mut() {
+            ts.reserve(count);
+        }
         // Split the immutable view off before mutating `decoded`, so record
         // offsets in errors stay accurate per record.
         for (i, raw) in self.block.chunks_exact(rec).enumerate() {
@@ -259,6 +263,26 @@ impl<R: Read> RecordReader<R> {
         Ok(())
     }
 
+    /// Reads exactly `len` bytes into the block buffer. A buffer that
+    /// already holds `len` bytes of capacity is filled by one read; a
+    /// smaller one grows by doubling from [`BLOCK_GROW_BYTES`] as the bytes
+    /// arrive, so a header that overstates its record count costs at most
+    /// twice the bytes the input really carries.
+    fn fill_block(&mut self, len: usize) -> Result<(), GraphError> {
+        let offset = self.offset();
+        let mut filled = 0;
+        while filled < len {
+            let end = len.min(self.block.capacity().max(2 * filled).max(BLOCK_GROW_BYTES));
+            self.block.resize(end, 0);
+            self.reader
+                .read_exact(&mut self.block[filled..])
+                .map_err(|e| read_failed(e, offset, "truncated record data"))?;
+            filled = end;
+        }
+        self.block.truncate(len);
+        Ok(())
+    }
+
     /// After the final record, any further byte is corruption.
     fn check_no_trailing_bytes(&mut self) -> Result<(), GraphError> {
         let mut probe = [0u8; 1];
@@ -276,13 +300,17 @@ impl<R: Read> RecordReader<R> {
 /// Records decoded per block by the whole-stream readers.
 const BLOCK_RECORDS: usize = 1 << 16;
 
+/// First size of a block buffer that must grow to hold a block; see
+/// [`RecordReader::fill_block`].
+const BLOCK_GROW_BYTES: usize = 1 << 16;
+
 /// Reads a whole `.tsb` stream into an [`EdgeStream`]. A timestamp column,
 /// if present, is decoded and discarded. No deduplication is performed —
 /// `.tsb` files are machine-written and carry stream semantics, so
 /// duplicates are preserved as-is.
 pub fn read_edges_binary<R: Read>(reader: R) -> Result<EdgeStream, GraphError> {
     let mut records = RecordReader::new(reader)?;
-    let mut edges = Vec::with_capacity(records.header.edges.min(1 << 24) as usize);
+    let mut edges = Vec::new();
     while records.remaining() > 0 {
         records.read_records(BLOCK_RECORDS, &mut edges, None)?;
     }
@@ -382,7 +410,7 @@ impl<R: Read> Iterator for TsbBatches<R> {
                 Err(e) => Some(Err(e)),
             };
         }
-        let mut batch = Vec::with_capacity(self.batch_size.min(self.records.remaining() as usize));
+        let mut batch = Vec::new();
         if let Err(e) = self.records.read_records(self.batch_size, &mut batch, None) {
             self.done = true;
             return Some(Err(e));

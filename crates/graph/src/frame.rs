@@ -21,6 +21,7 @@
 //! failures — including read timeouts, which the server's drain loop relies
 //! on — pass through as [`GraphError::Io`].
 
+use crate::binary::{binary_error, read_failed};
 use crate::error::GraphError;
 use std::io::{Read, Write};
 
@@ -29,21 +30,6 @@ use std::io::{Read, Write};
 /// unbounded memory on a hostile or desynchronised stream, and no legitimate
 /// frame comes close (a 64 MiB edge payload is over four million records).
 pub const MAX_FRAME_PAYLOAD: u32 = 1 << 26;
-
-fn frame_error(offset: u64, reason: &'static str) -> GraphError {
-    GraphError::Binary { offset, reason }
-}
-
-/// Classifies a failed `read_exact` mid-frame: an unexpected EOF means the
-/// peer hung up inside a frame (corruption); anything else is a real I/O
-/// failure.
-fn read_failed(e: std::io::Error, offset: u64, reason: &'static str) -> GraphError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        frame_error(offset, reason)
-    } else {
-        GraphError::Io(e)
-    }
-}
 
 /// Writes one frame with a single `write_all`: the 5-byte header and the
 /// payload are assembled into one buffer first. The caller flushes (frames
@@ -65,7 +51,7 @@ pub fn write_frame<W: Write>(
     payload: &[u8],
 ) -> Result<(), GraphError> {
     if payload.len() > MAX_FRAME_PAYLOAD as usize {
-        return Err(frame_error(1, "frame payload exceeds MAX_FRAME_PAYLOAD"));
+        return Err(binary_error(1, "frame payload exceeds MAX_FRAME_PAYLOAD"));
     }
     let mut frame = Vec::with_capacity(5 + payload.len());
     frame.push(frame_type);
@@ -102,7 +88,7 @@ pub fn read_frame_body<R: Read>(reader: &mut R) -> Result<Vec<u8>, GraphError> {
         .map_err(|e| read_failed(e, 1, "truncated frame length prefix"))?;
     let len = u32::from_le_bytes(len);
     if len > MAX_FRAME_PAYLOAD {
-        return Err(frame_error(1, "frame payload exceeds MAX_FRAME_PAYLOAD"));
+        return Err(binary_error(1, "frame payload exceeds MAX_FRAME_PAYLOAD"));
     }
     let mut payload = vec![0u8; len as usize];
     reader

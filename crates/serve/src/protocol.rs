@@ -943,6 +943,21 @@ mod tests {
     }
 
     #[test]
+    fn edges_frame_overstating_its_record_count_is_a_bad_edge_payload() {
+        // A 40-byte embedded stream whose header claims 2^24 records: the
+        // reader sizes its buffers by the bytes present (pinned by
+        // tests/alloc_steady_state.rs), so this is an ordinary refusal.
+        let mut tsb = Vec::new();
+        write_edges_binary(&path_edges(1), &mut tsb).unwrap();
+        tsb[8..16].copy_from_slice(&(1u64 << 24).to_le_bytes());
+        tsb.extend_from_slice(&[0; 8]);
+        assert_eq!(tsb.len(), 40);
+        let err = Request::decode(FrameType::Edges.byte(), &edges_payload(&tsb)).unwrap_err();
+        assert_eq!(err.code, ErrorCode::BadEdgePayload);
+        assert!(err.message.contains("truncated"), "{err}");
+    }
+
+    #[test]
     fn responses_and_requests_cannot_swap_directions() {
         let err = Request::decode(FrameType::Ok.byte(), &[]).unwrap_err();
         assert!(err.message.contains("response frame"), "{err}");

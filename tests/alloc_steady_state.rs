@@ -1,15 +1,13 @@
-//! Zero-allocation steady state of the bulk hot path and the pipelined
-//! `.tsb` decode pipeline.
+//! Allocation bounds of the bulk hot path and of the `.tsb` reader.
 //!
 //! The SoA rewrite's pitch is that per-batch working state is *cleared,
 //! not reallocated*: after the scratch has grown to the high-water mark of
 //! the batch size in use, `process_batch` must never touch the heap again.
-//! The pipelined binary reader makes the same claim one layer down: with a
-//! recycling consumer, raw block buffers and decoded batch buffers
-//! circulate through bounded channels (which are ring buffers, not
-//! linked queues) and the steady state performs zero allocations per
-//! batch, worker threads included. This test pins both with a counting
-//! global allocator — not a profiler claim, an asserted invariant.
+//! The `.tsb` reader makes a bound of its own: what it allocates follows
+//! the bytes actually present, not the record count a header claims, so a
+//! hostile serve `EDGES` frame cannot make the daemon reserve memory it
+//! never receives. This test pins both with a counting global allocator —
+//! not a profiler claim, an asserted invariant.
 //!
 //! This file must stay a dedicated integration-test binary with exactly
 //! one `#[test]` (both properties measured phase by phase inside it): a
@@ -23,24 +21,31 @@ use tristream::core::Level1Strategy;
 use tristream::prelude::*;
 
 /// Forwards to the system allocator, counting every allocation path that
-/// acquires memory (`alloc`, `alloc_zeroed`, `realloc`).
+/// acquires memory (`alloc`, `alloc_zeroed`, `realloc`) and the bytes each
+/// one requests.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -95,55 +100,40 @@ fn bulk_batches_do_not_allocate_in_the_steady_state() {
         );
     }
 
-    pipelined_decode_steady_state();
+    overstated_tsb_headers_allocate_by_bytes_present();
 }
 
-/// Phase two: the pipelined `.tsb` reader with a recycling consumer must
-/// be allocation-free per batch once every buffer is in circulation.
+/// Phase two: a 40-byte `.tsb` buffer whose header claims 2^24 records —
+/// the shape of a hostile serve `EDGES` payload — must be refused without
+/// reserving memory for the records it claims (2^24 × 16 bytes = 256 MiB).
 #[allow(clippy::unwrap_used)] // test helper — same exemption as #[test] fns
-fn pipelined_decode_steady_state() {
-    use tristream::graph::binary::write_edges_binary;
-    use tristream::graph::pipeline::read_edges_binary_pipelined;
+fn overstated_tsb_headers_allocate_by_bytes_present() {
+    use tristream::graph::binary::{read_edges_binary, read_edges_binary_batched};
 
-    let stream = tristream::gen::holme_kim(600, 4, 0.4, 9);
-    let mut encoded = Vec::new();
-    write_edges_binary(stream.edges(), &mut encoded).unwrap();
-    const BATCH: usize = 64;
-    let total_batches = stream.len().div_ceil(BATCH);
+    let mut hostile = Vec::new();
+    tristream::graph::binary::write_edges_binary(&[Edge::new(1u64, 2u64)], &mut hostile).unwrap();
+    hostile[8..16].copy_from_slice(&(1u64 << 24).to_le_bytes());
+    hostile.extend_from_slice(&[0; 8]);
+    assert_eq!(hostile.len(), 40);
+
+    const BOUND: u64 = 1 << 20;
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let whole = read_edges_binary(&hostile[..]);
+    let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert!(whole.is_err(), "a truncated stream must be refused");
     assert!(
-        total_batches >= 24,
-        "need a long run to warm the pipeline and then measure"
+        allocated < BOUND,
+        "whole-stream reader allocated {allocated} bytes for a 40-byte input"
     );
 
-    let mut reader = read_edges_binary_pipelined(std::io::Cursor::new(encoded), BATCH, 2).unwrap();
-    let mut consumed = 0usize;
-    let mut edges = 0u64;
-    let mut window_allocs = 0u64;
-    let mut window_start = 0u64;
-    // Warm-up: the first half of the stream puts every raw block buffer
-    // and batch buffer into circulation (the reader runs several blocks
-    // ahead of the consumer, so its warm-up allocations can land a few
-    // batches late — half the stream is far past all of them). Then the
-    // measured window must be allocation-free end to end: reader thread,
-    // decode workers, channel sends, consumer.
-    while let Some(batch) = reader.next() {
-        let batch = batch.unwrap();
-        edges += batch.len() as u64;
-        reader.recycle(batch);
-        consumed += 1;
-        if consumed == total_batches / 2 {
-            window_start = ALLOCATIONS.load(Ordering::Relaxed);
-        } else if consumed == total_batches - 2 {
-            // Stop measuring just before the tail: the final short batch
-            // legitimately resizes a recycled buffer downward (len, not
-            // capacity) and the iterator's end-of-stream teardown frees
-            // channels — neither is per-batch work.
-            window_allocs = ALLOCATIONS.load(Ordering::Relaxed) - window_start;
-        }
-    }
-    assert_eq!(edges, stream.len() as u64, "every record was decoded");
-    assert_eq!(
-        window_allocs, 0,
-        "steady-state pipelined decoding must not allocate"
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let batches: Vec<_> = read_edges_binary_batched(&hostile[..], 1 << 24)
+        .unwrap()
+        .collect();
+    let allocated = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert!(matches!(batches.as_slice(), [Err(_)]), "{batches:?}");
+    assert!(
+        allocated < BOUND,
+        "batched reader allocated {allocated} bytes for a 40-byte input"
     );
 }

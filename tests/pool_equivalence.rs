@@ -7,7 +7,9 @@
 //!    same order, so for any seed and any batch boundaries every estimator
 //!    ends every batch in exactly the same state. Proptest drives this over
 //!    random streams and random batch splits, including empty and
-//!    single-edge batches.
+//!    single-edge batches, and over pool sizes that reach every
+//!    lane-remainder shape of the u64×4 kernel (see
+//!    [`lane_remainder_pool_size`]).
 //! 2. **Distributional identity with the scalar one-at-a-time state
 //!    machine** ([`EstimatorState`] driven by `TriangleCounter`): Theorem
 //!    3.5's guarantee. Checked two ways — the state *invariants* (`c =
@@ -57,16 +59,34 @@ fn batched<'a>(edges: &'a [Edge], cuts: &[usize]) -> Vec<&'a [Edge]> {
     batches
 }
 
+/// Pool sizes that reach every lane-remainder shape of the bulk kernel:
+/// below one u64×4 lane group (1, 3), exactly one group (4), a group plus
+/// a one-estimator tail (5), whole groups (16) — and an arbitrary size
+/// (`shape` selects, `random_r` supplies the arbitrary case).
+fn lane_remainder_pool_size(shape: usize, random_r: usize) -> usize {
+    match shape {
+        0 => 1,
+        1 => 3,
+        2 => 4,
+        3 => 5,
+        4 => 16,
+        _ => random_r,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn pooled_and_reference_counters_are_bit_identical_over_random_batchings(
+        shape in 0usize..6,
+        random_r in 1usize..40,
         pairs in random_edge_pairs(24, 80),
         seed in 0u64..1_000,
         cuts in prop::collection::vec(0usize..12, 1..6),
         geometric in 0u8..2,
     ) {
+        let r = lane_remainder_pool_size(shape, random_r);
         let stream = EdgeStream::from_pairs_dedup(pairs);
         prop_assume!(!stream.is_empty());
         let strategy = if geometric == 1 {
@@ -74,8 +94,8 @@ proptest! {
         } else {
             Level1Strategy::PerEstimator
         };
-        let mut pooled = BulkTriangleCounter::new(16, seed).with_level1_strategy(strategy);
-        let mut reference = ReferenceBulkCounter::new(16, seed).with_level1_strategy(strategy);
+        let mut pooled = BulkTriangleCounter::new(r, seed).with_level1_strategy(strategy);
+        let mut reference = ReferenceBulkCounter::new(r, seed).with_level1_strategy(strategy);
         for batch in batched(stream.edges(), &cuts) {
             pooled.process_batch(batch);
             reference.process_batch(batch);
