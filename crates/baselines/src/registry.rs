@@ -74,7 +74,7 @@ pub struct AlgoSpec {
     pub default_space: usize,
     /// Whether [`AlgoParams::space`] is a *pool size* that sharded
     /// execution should split across shards (`ceil(space / shards)` per
-    /// shard, the `ParallelBulkTriangleCounter` contract, keeping total
+    /// shard, the `ShardedEstimator::bulk` contract, keeping total
     /// space roughly constant), as opposed to a per-instance parameter —
     /// like `pagh-tsourakakis`' color count — every shard needs in full.
     pub splits_across_shards: bool,

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tristream_core::counter::Aggregation;
 use tristream_core::{
-    BulkTriangleCounter, Level1Strategy, ParallelBulkTriangleCounter, TriangleCounter,
+    BulkTriangleCounter, Level1Strategy, ShardedEstimator, TriangleCounter, TriangleEstimator,
 };
 use tristream_gen::holme_kim;
 
@@ -76,8 +76,10 @@ fn bench_level1_strategies_and_parallelism(c: &mut Criterion) {
     });
     group.bench_function("parallel_4_shards", |b| {
         b.iter(|| {
-            let mut counter = ParallelBulkTriangleCounter::new(r, 4, 5);
-            counter.process_stream(edges, 8 * r);
+            let mut counter = ShardedEstimator::bulk(r, 4, 5);
+            for batch in edges.chunks(8 * r) {
+                counter.process_batch(batch);
+            }
             counter.estimate()
         });
     });

@@ -2,7 +2,7 @@
 //! under `target/experiments/`, and the versioned machine-readable
 //! `BENCH.json` report emitted by `tristream-cli bench`.
 //!
-//! # `BENCH.json` schema (version 7)
+//! # `BENCH.json` schema (version 8)
 //!
 //! New fields may appear in later versions, existing fields keep their
 //! name, type and meaning until a version removes them, and
@@ -18,10 +18,12 @@
 //! (checkpoint encode/restore latency and container size, with restore
 //! bit-parity gated at exactly zero); version 7 removed the
 //! `parallel_vs_sequential_decode_speedup` field together with the
-//! pipelined reader and its `ingest-binary-parallel` row. Field by field:
+//! pipelined reader and its `ingest-binary-parallel` row; version 8
+//! removed the `engine-spawn-w{N}` rows together with the spawn-per-batch
+//! baseline (no field changes). Field by field:
 //!
 //! * `schema` (string) — always `"tristream-bench"`.
-//! * `schema_version` (integer) — `7`.
+//! * `schema_version` (integer) — `8`.
 //! * `mode` (string) — `"smoke"` or `"full"`.
 //! * `seed` (integer) — base RNG seed the whole suite derives from.
 //! * `workloads` (array) — one object per named workload:
@@ -197,7 +199,8 @@ pub fn write_csv(table: &ExperimentTable, name: &str) -> PathBuf {
 pub enum WorkloadKind {
     /// File-ingestion throughput (reader + decode, no estimator).
     Ingest,
-    /// Execution-model throughput (spawn-per-batch vs persistent engine).
+    /// Sharded bulk-counter throughput on the persistent worker pool
+    /// across batch sizes.
     Engine,
     /// Estimate accuracy against exact ground truth.
     Accuracy,
@@ -351,8 +354,9 @@ pub struct BenchReport {
 /// `"serve"` `kind` value; version 5 added the
 /// `parallel_vs_sequential_decode_speedup` derived field; version 6
 /// added the `"snapshot"` `kind` value and the nullable `snapshot_words`
-/// field; version 7 removed `parallel_vs_sequential_decode_speedup`.
-pub const BENCH_SCHEMA_VERSION: u32 = 7;
+/// field; version 7 removed `parallel_vs_sequential_decode_speedup`;
+/// version 8 removed the `engine-spawn-w{N}` rows.
+pub const BENCH_SCHEMA_VERSION: u32 = 8;
 
 /// Tolerance of the hot-path regression gate: the pooled bulk path fails
 /// the gate if its p50 latency exceeds the reference path's by more than

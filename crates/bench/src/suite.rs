@@ -15,9 +15,10 @@
 //!   synthetic stream through the SNAP text codec and the `.tsb` binary
 //!   codec. The binary-vs-text `edges_per_sec` ratio is the payoff of the
 //!   binary format (target: ≥5×).
-//! * `engine-spawn-w{N}` / `engine-persistent-w{N}` — spawn-per-batch
-//!   scoped threads vs the persistent [`ShardedEngine`] worker pool across
-//!   batch sizes `w = 256 … 65536`, same seeds, bit-identical estimates.
+//! * `engine-persistent-w{N}` — the sharded bulk counter
+//!   ([`ShardedEstimator::bulk`]) on its persistent worker pool across
+//!   batch sizes `w = 256 … 65536`; the partner row of the
+//!   `serve-ingest` floor gate.
 //! * `hotpath-reference-w{N}` / `hotpath-pooled-w{N}` — the retained
 //!   pre-pool bulk counter ([`ReferenceBulkCounter`]) raced against the
 //!   SoA-pool [`BulkTriangleCounter`] over the same batch-size sweep,
@@ -49,19 +50,17 @@
 //!   to the uninterrupted one, with a bound of exactly zero — so
 //!   `bench --check` enforces restore bit-parity.
 //!
-//! [`ShardedEngine`]: tristream_core::engine::ShardedEngine
+//! [`ShardedEstimator::bulk`]: tristream_core::ShardedEstimator::bulk
 //! [`ReferenceBulkCounter`]: tristream_core::reference::ReferenceBulkCounter
 
 use crate::report::{summarize_workload, BenchReport, WorkloadKind, WorkloadResult};
-use crate::spawn_baseline::SpawnPerBatchCounter;
 use crate::trial::run_trials;
 use crate::workloads::load_standin_scaled;
 use std::path::PathBuf;
 use std::time::Instant;
 use tristream_baselines::registry::{find_algo, AlgoParams, StreamHint};
 use tristream_core::{
-    BulkTriangleCounter, Level1Strategy, ParallelBulkTriangleCounter, ReferenceBulkCounter,
-    ShardedEstimator, TriangleEstimator,
+    BulkTriangleCounter, Level1Strategy, ReferenceBulkCounter, ShardedEstimator, TriangleEstimator,
 };
 use tristream_gen::DatasetKind;
 use tristream_graph::binary::{read_edges_binary_batched_file, write_edges_binary_file};
@@ -304,56 +303,25 @@ fn engine_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<WorkloadRe
     let (r, shards) = (config.engine_estimators, config.shards);
     let mut results = Vec::new();
     for &w in &config.engine_batches {
-        let mut spawn_latencies = Vec::with_capacity(config.trials);
-        let mut persistent_latencies = Vec::with_capacity(config.trials);
+        let mut latencies = Vec::with_capacity(config.trials);
         for t in 0..config.trials {
-            let trial_seed = config.seed.wrapping_add(t as u64);
-            let run_spawn = |latencies: &mut Vec<f64>| {
-                let mut counter = SpawnPerBatchCounter::new(r, shards, trial_seed);
-                let start = Instant::now();
-                counter.process_stream(edges, w);
-                let estimate = counter.estimate();
-                latencies.push(start.elapsed().as_secs_f64());
-                estimate
-            };
-            let run_persistent = |latencies: &mut Vec<f64>| {
-                let mut counter = ParallelBulkTriangleCounter::new(r, shards, trial_seed);
-                let start = Instant::now();
-                counter.process_stream(edges, w);
-                let estimate = counter.estimate();
-                latencies.push(start.elapsed().as_secs_f64());
-                estimate
-            };
-            // Alternate measurement order (cache warmth), as in the
-            // `engine` experiment binary.
-            let (spawn_estimate, persistent_estimate) = if t % 2 == 0 {
-                let s = run_spawn(&mut spawn_latencies);
-                (s, run_persistent(&mut persistent_latencies))
-            } else {
-                let p = run_persistent(&mut persistent_latencies);
-                (run_spawn(&mut spawn_latencies), p)
-            };
-            assert_eq!(
-                spawn_estimate, persistent_estimate,
-                "execution models must agree bit-for-bit (w = {w})"
-            );
+            let mut counter = ShardedEstimator::bulk(r, shards, config.seed.wrapping_add(t as u64));
+            let start = Instant::now();
+            for batch in edges.chunks(w) {
+                counter.process_batch(batch);
+            }
+            std::hint::black_box(counter.estimate());
+            latencies.push(start.elapsed().as_secs_f64());
         }
-        let summarize = |name: String, latencies: &[f64]| {
-            summarize_workload(
-                &name,
-                WorkloadKind::Engine,
-                edges.len() as u64,
-                latencies,
-                Some(w),
-                Some(shards),
-                Some(r),
-                None,
-            )
-        };
-        results.push(summarize(format!("engine-spawn-w{w}"), &spawn_latencies));
-        results.push(summarize(
-            format!("engine-persistent-w{w}"),
-            &persistent_latencies,
+        results.push(summarize_workload(
+            &format!("engine-persistent-w{w}"),
+            WorkloadKind::Engine,
+            edges.len() as u64,
+            &latencies,
+            Some(w),
+            Some(shards),
+            Some(r),
+            None,
         ));
     }
     results
@@ -462,8 +430,10 @@ fn accuracy_workloads(config: &BenchConfig) -> Vec<WorkloadResult> {
     let planted = tristream_gen::planted_triangles(400, 1_200, config.seed);
     let truth = 400.0;
     let summary = run_trials(truth, config.trials, config.seed, |sd| {
-        let mut counter = ParallelBulkTriangleCounter::new(r, config.shards, sd);
-        counter.process_stream(planted.edges(), 8 * r);
+        let mut counter = ShardedEstimator::bulk(r, config.shards, sd);
+        for batch in planted.edges().chunks(8 * r) {
+            counter.process_batch(batch);
+        }
         counter.estimate()
     });
     let latencies: Vec<f64> = summary
@@ -844,17 +814,16 @@ mod tests {
     #[test]
     fn suite_runs_end_to_end_and_passes_its_own_gate() {
         let report = run_suite(&tiny_config()).unwrap();
-        // 2 ingest + 2 engine + 2 hot-path (one batch size) + 2 accuracy +
+        // 2 ingest + 1 engine + 2 hot-path (one batch size) + 2 accuracy +
         // 2 serve + 2 snapshot + the equal-memory head-to-head family (one
         // row per registry entry).
         assert_eq!(
             report.workloads.len(),
-            12 + tristream_baselines::registry().len()
+            11 + tristream_baselines::registry().len()
         );
         for name in [
             "ingest-text",
             "ingest-binary",
-            "engine-spawn-w128",
             "engine-persistent-w128",
             "hotpath-reference-w128",
             "hotpath-pooled-w128",

@@ -295,8 +295,8 @@ instead, which every subcommand reads transparently; `convert` translates
 between the two (exactly one side must be `.tsb`, and `--timestamps` adds a
 stream-position timestamp column when writing `.tsb`).
 
-`bench` runs the named perf workloads (text vs binary ingest, spawn vs
-persistent engine, accuracy vs exact) and writes a machine-readable
+`bench` runs the named perf workloads (text vs binary ingest, sharded
+engine throughput, accuracy vs exact) and writes a machine-readable
 BENCH.json (default path: BENCH.json); `--check` makes an accuracy-bound
 violation a non-zero exit, which is how CI gates.
 

@@ -17,8 +17,8 @@ use tristream_baselines::ExactStreamingCounter;
 use tristream_bench::{run_suite, BenchConfig};
 use tristream_core::engine::drain_batch_source;
 use tristream_core::{
-    BulkTriangleCounter, ParallelBulkTriangleCounter, ShardedEstimator, TransitivityEstimator,
-    TriangleEstimator, TriangleSampler,
+    BulkTriangleCounter, ShardedEstimator, TransitivityEstimator, TriangleEstimator,
+    TriangleSampler,
 };
 use tristream_gen::{DatasetKind, StandIn};
 use tristream_graph::binary::{
@@ -41,8 +41,8 @@ fn read_stream_auto<P: AsRef<Path>>(path: P) -> Result<EdgeStream, GraphError> {
     }
 }
 
-/// A boxed *batch source* — the shape `ParallelBulkTriangleCounter::
-/// process_source` ingests.
+/// A boxed *batch source* — the shape `ShardedEstimator::process_source`
+/// ingests.
 type BatchSource = Box<dyn Iterator<Item = Result<Vec<Edge>, GraphError>>>;
 
 /// Opens a file as a [batch source](BatchSource) (the engine-side ingestion
@@ -128,7 +128,7 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 // persistent sharded worker pool.
                 let shards = shards.unwrap_or_else(default_shards).max(1);
                 let start = Instant::now();
-                let mut counter = ParallelBulkTriangleCounter::new(estimators.max(1), shards, seed);
+                let mut counter = ShardedEstimator::bulk(estimators.max(1), shards, seed);
                 let decode_secs = Rc::new(Cell::new(0.0));
                 let source = TimedBatches {
                     inner: open_batched_auto(&input, batch)?,
@@ -140,16 +140,22 @@ pub fn run(command: Command) -> Result<String, Box<dyn Error>> {
                 // processing, not just enqueueing.
                 let estimate = counter.estimate();
                 let elapsed = start.elapsed().as_secs_f64();
+                let (r, holders) = counter
+                    .map_shards(|shard| (shard.num_estimators(), shard.estimators_with_triangle()))
+                    .into_iter()
+                    .fold((0, 0), |(r, h), (shard_r, shard_h)| {
+                        (r + shard_r, h + shard_h)
+                    });
                 return Ok(format!(
                     "estimated triangle count: {:.0} (r = {}, shards = {}, batch = {}, {} edges \
                      in {:.3} s, {} estimators hold a triangle)\n{}{}",
                     estimate,
-                    counter.num_estimators(),
+                    r,
                     shards,
                     batch,
                     edges,
                     elapsed,
-                    counter.estimators_with_triangle(),
+                    holders,
                     throughput_line(edges, elapsed),
                     split_line(decode_secs.get(), elapsed)
                 ));
@@ -768,6 +774,55 @@ mod tests {
         assert!(out.contains("estimated triangle count"), "{out}");
         assert!(out.contains("shards = 3"), "{out}");
         assert!(out.contains("3000 edges"), "{out}");
+    }
+
+    #[test]
+    fn count_parallel_prints_the_pooled_estimate_of_shard_seeded_counters() {
+        // `count --parallel` must report exactly what three counters built
+        // under the shard-seed contract (`ceil(r / shards)` estimators,
+        // `GeometricSkip`, seed `shard_seed(seed, i)`) report when fed the
+        // same batches: the pooled mean and the summed holder count.
+        let path = sample_graph_path();
+        let (r, shards, batch, seed) = (1_000, 3, 256, 11);
+        let out = run(Command::Count {
+            input: path.clone(),
+            estimators: Some(r),
+            batch: Some(batch),
+            seed,
+            exact: false,
+            parallel: true,
+            shards: Some(shards),
+            algo: None,
+            window: None,
+        })
+        .unwrap();
+
+        let mut counters: Vec<BulkTriangleCounter> = (0..shards)
+            .map(|i| {
+                BulkTriangleCounter::new(r.div_ceil(shards), tristream_core::shard_seed(seed, i))
+                    .with_level1_strategy(tristream_core::Level1Strategy::GeometricSkip)
+            })
+            .collect();
+        for chunk in open_batched_auto(&path, batch).unwrap() {
+            let chunk = chunk.unwrap();
+            for counter in &mut counters {
+                counter.process_batch(&chunk);
+            }
+        }
+        let raw: Vec<f64> = counters.iter().flat_map(|c| c.raw_estimates()).collect();
+        let pooled = raw.iter().sum::<f64>() / raw.len() as f64;
+        let holders: usize = counters.iter().map(|c| c.estimators_with_triangle()).sum();
+        assert!(holders > 0);
+        let head = format!(
+            "estimated triangle count: {pooled:.0} (r = {}, shards = {shards}, batch = {batch}, \
+             3000 edges in ",
+            raw.len()
+        );
+        assert!(out.starts_with(&head), "expected {head:?}\n{out}");
+        assert!(
+            out.contains(&format!(", {holders} estimators hold a triangle)\n")),
+            "expected {holders} holders\n{out}"
+        );
     }
 
     #[test]

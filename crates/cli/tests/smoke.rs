@@ -492,14 +492,13 @@ fn bench_smoke_emits_machine_readable_json() {
     let json = std::fs::read_to_string(&json_path).expect("bench wrote the report");
     for field in [
         "\"schema\": \"tristream-bench\"",
-        "\"schema_version\": 7",
+        "\"schema_version\": 8",
         "\"snapshot-encode\"",
         "\"snapshot-restore\"",
         "\"kind\": \"snapshot\"",
         "\"snapshot_words\"",
         "\"ingest-text\"",
         "\"ingest-binary\"",
-        "\"engine-spawn-w256\"",
         "\"engine-persistent-w65536\"",
         "\"hotpath-reference-w4096\"",
         "\"hotpath-pooled-w4096\"",
@@ -518,5 +517,9 @@ fn bench_smoke_emits_machine_readable_json() {
     ] {
         assert!(json.contains(field), "BENCH.json missing {field}:\n{json}");
     }
+    assert!(
+        !json.contains("engine-spawn"),
+        "schema 8 has no spawn rows:\n{json}"
+    );
     let _ = std::fs::remove_file(&json_path);
 }

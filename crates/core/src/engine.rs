@@ -1,35 +1,31 @@
-//! Persistent sharded streaming engine.
+//! Persistent sharded streaming engine: the worker-thread transport behind
+//! [`ShardedEstimator`](crate::ShardedEstimator).
 //!
 //! The paper's conclusion (§6) observes that maintaining the estimate is
 //! CPU-bound even when streaming from disk and points to a parallel,
-//! cache-efficient variant of neighborhood sampling as follow-up work. The
-//! first cut of [`crate::parallel`] parallelised each batch with
-//! `std::thread::scope`, which spawns and joins fresh OS threads on **every
-//! batch** — so small-batch workloads pay thread-creation cost per `w`
-//! edges, the exact regime the `O(r + w)` bulk algorithm (Theorem 3.5) is
-//! supposed to make cheap.
-//!
-//! [`ShardedEngine`] replaces that with the dataflow-style design of
-//! long-lived workers fed by channels:
+//! cache-efficient variant of neighborhood sampling as follow-up work.
+//! Spawning fresh threads for every batch would make small-batch workloads
+//! pay thread-creation cost per `w` edges, the exact regime the `O(r + w)`
+//! bulk algorithm (Theorem 3.5) is supposed to make cheap. The engine
+//! instead uses the dataflow-style design of long-lived workers fed by
+//! channels:
 //!
 //! * **One worker thread per shard, created once.** Each worker owns (via a
 //!   mutex it holds only while processing) an independent estimator — any
-//!   [`TriangleEstimator`] `+ Send`, by default a [`BulkTriangleCounter`];
-//!   shards never exchange data, so the sharded pool computes exactly the
-//!   same *distribution* of estimates as a sequential pool of the same
-//!   size and seeds.
-//! * **Batches travel over channels.** [`ShardedEngine::submit`] copies the
-//!   batch once into an `Arc<[Edge]>` and sends the (cheap) `Arc` clone to
-//!   every shard — `O(w)` work, no thread spawn, no join.
+//!   [`TriangleEstimator`] `+ Send`; shards never exchange data, so the
+//!   sharded pool computes exactly the same *distribution* of estimates as
+//!   a sequential pool of the same size and seeds.
+//! * **Batches travel over channels.** `submit` copies the batch once into
+//!   an `Arc<[Edge]>` and sends the (cheap) `Arc` clone to every shard —
+//!   `O(w)` work, no thread spawn, no join.
 //! * **Submission is asynchronous; queries synchronise.** `submit` returns
 //!   as soon as the batch is enqueued, letting the caller overlap reading
 //!   the next batch with processing the current one. Queues are bounded
 //!   (a few batches deep), so a producer that outruns the workers blocks
 //!   instead of accumulating the whole stream in memory. Any state read
-//!   ([`ShardedEngine::map_shards`], [`ShardedEngine::clone_shards`]) first
-//!   waits — on a condvar, not by spinning — until every shard has drained
-//!   its queue, so observed results are identical to fully synchronous
-//!   processing.
+//!   first waits — on a condvar, not by spinning — until every shard has
+//!   drained its queue, so observed results are identical to fully
+//!   synchronous processing.
 //! * **Workers are joined on drop.** Dropping the engine closes the
 //!   channels; each worker exits its receive loop and is joined, so no
 //!   thread outlives the engine.
@@ -39,7 +35,6 @@
 //! callers never deadlock; the panic then resurfaces on the caller's thread
 //! as a poisoned-shard error on the next query or submission.
 
-use crate::bulk::BulkTriangleCounter;
 use crate::traits::TriangleEstimator;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
@@ -51,11 +46,9 @@ use tristream_graph::Edge;
 /// edges handed over. Stops at (and propagates) the source's first error;
 /// batches sunk before the error stay sunk, matching the semantics of
 /// feeding the stream by hand. The single implementation behind
-/// [`ShardedEngine::consume`],
-/// [`ParallelBulkTriangleCounter::process_source`] and
-/// [`ShardedEstimator::process_source`].
+/// [`ShardedEstimator::process_source`] and the sequential `count --algo`
+/// path of the CLI.
 ///
-/// [`ParallelBulkTriangleCounter::process_source`]: crate::ParallelBulkTriangleCounter::process_source
 /// [`ShardedEstimator::process_source`]: crate::ShardedEstimator::process_source
 pub fn drain_batch_source<E>(
     source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
@@ -71,7 +64,7 @@ pub fn drain_batch_source<E>(
 }
 
 /// Per-shard channel capacity, in batches. Bounded channels give
-/// [`ShardedEngine::submit`] backpressure: a producer that outruns the
+/// `ShardedEngine::submit` backpressure: a producer that outruns the
 /// workers blocks once this many batches are queued, so engine memory stays
 /// at `O(CHANNEL_DEPTH · w)` edges no matter how large the input stream is
 /// — the property the streaming file reader relies on. A few batches of
@@ -144,29 +137,9 @@ fn worker_loop<C: TriangleEstimator + Send>(
 ///
 /// The engine is generic over the per-shard estimator `C` — any
 /// `TriangleEstimator + Send` works, including boxed trait objects from
-/// the algorithm registry — and defaults to [`BulkTriangleCounter`], the
-/// substrate of
-/// [`ParallelBulkTriangleCounter`](crate::ParallelBulkTriangleCounter).
-/// It can also be used directly when the caller wants to manage shard
-/// seeding or aggregation itself; for the common
-/// "same algorithm per shard, decorrelated seeds" case see
-/// [`ShardedEstimator`](crate::ShardedEstimator).
-///
-/// ```
-/// use tristream_core::engine::ShardedEngine;
-/// use tristream_core::BulkTriangleCounter;
-///
-/// let shards = (0..4).map(|i| BulkTriangleCounter::new(64, i)).collect();
-/// let mut engine = ShardedEngine::new(shards);
-/// let stream = tristream_gen::planted_triangles(20, 40, 1);
-/// for batch in stream.batches(128) {
-///     engine.submit(batch);
-/// }
-/// let estimates: Vec<Vec<f64>> = engine.map_shards(|shard| shard.raw_estimates());
-/// assert_eq!(estimates.len(), 4);
-/// // Workers are joined when `engine` goes out of scope.
-/// ```
-pub struct ShardedEngine<C: TriangleEstimator + Send + 'static = BulkTriangleCounter> {
+/// the algorithm registry. It is pure transport: seeding and aggregation
+/// belong to [`ShardedEstimator`](crate::ShardedEstimator), its only user.
+pub(crate) struct ShardedEngine<C: TriangleEstimator + Send + 'static> {
     shared: Arc<Shared<C>>,
     /// One batch channel per shard. Dropped (closed) before joining, which
     /// is what tells each worker to exit its receive loop.
@@ -227,11 +200,6 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEngine<C> {
         self.senders.len()
     }
 
-    /// Number of batches submitted so far.
-    pub fn batches_submitted(&self) -> u64 {
-        self.batches_submitted
-    }
-
     /// Enqueues one batch on every shard and returns without waiting for
     /// processing, as long as each shard's (bounded) queue has room; a
     /// producer that outruns the workers blocks here instead of growing
@@ -254,23 +222,6 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEngine<C> {
                 .expect("shard worker terminated unexpectedly");
         }
         self.batches_submitted += 1;
-    }
-
-    /// Drains a *batch source* — any fallible iterator of edge batches,
-    /// e.g. the text reader's `EdgeListBatches` or the binary reader's
-    /// `TsbBatches` — submitting every batch in order, and returns the
-    /// total number of edges submitted. Stops at (and propagates) the
-    /// source's first error; batches submitted before the error stay
-    /// submitted, matching the semantics of feeding the stream by hand.
-    ///
-    /// This is the ingestion boundary: producers only need to speak
-    /// `Result<Vec<Edge>, E>`, and the engine overlaps their I/O with
-    /// processing via its bounded queues.
-    pub fn consume<E>(
-        &mut self,
-        source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
-    ) -> Result<u64, E> {
-        drain_batch_source(source, |batch| self.submit(batch))
     }
 
     /// Blocks until every shard has processed every submitted batch.
@@ -326,24 +277,6 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEngine<C> {
     }
 }
 
-impl<C: TriangleEstimator + Send + Clone + 'static> ShardedEngine<C> {
-    /// Synchronises and clones every shard's counter — the building block
-    /// for cloning or re-configuring a running engine. Only available when
-    /// the shard estimator is `Clone` (boxed trait objects are not).
-    pub fn clone_shards(&self) -> Vec<C> {
-        self.map_shards(|shard| shard.clone())
-    }
-}
-
-impl<C: TriangleEstimator + Send + Clone + 'static> Clone for ShardedEngine<C> {
-    /// Clones the engine by copying shard state into a fresh worker
-    /// pool. The clone starts with its own threads and an independent
-    /// progress count, but identical counter state.
-    fn clone(&self) -> Self {
-        ShardedEngine::new(self.clone_shards())
-    }
-}
-
 impl<C: TriangleEstimator + Send + 'static> Drop for ShardedEngine<C> {
     fn drop(&mut self) {
         // Closing the channels ends each worker's receive loop.
@@ -359,9 +292,10 @@ impl<C: TriangleEstimator + Send + 'static> Drop for ShardedEngine<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bulk::BulkTriangleCounter;
     use std::sync::Weak;
 
-    fn shard_counters(r_per_shard: usize, shards: usize, seed: u64) -> Vec<BulkTriangleCounter> {
+    fn bulk_counters(r_per_shard: usize, shards: usize, seed: u64) -> Vec<BulkTriangleCounter> {
         (0..shards)
             .map(|i| BulkTriangleCounter::new(r_per_shard, seed.wrapping_add(i as u64)))
             .collect()
@@ -370,67 +304,34 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_shards_panics() {
-        let _: ShardedEngine = ShardedEngine::new(Vec::new());
+        let _: ShardedEngine<BulkTriangleCounter> = ShardedEngine::new(Vec::new());
     }
 
     #[test]
     fn workers_process_submitted_batches() {
         let stream = tristream_gen::planted_triangles(20, 50, 3);
-        let mut engine = ShardedEngine::new(shard_counters(32, 3, 9));
+        let mut engine = ShardedEngine::new(bulk_counters(32, 3, 9));
         for batch in stream.batches(64) {
             engine.submit(batch);
         }
         let seen = engine.map_shards(|shard| shard.edges_seen());
         assert_eq!(seen, vec![stream.len() as u64; 3]);
-        assert!(engine.batches_submitted() > 0);
+        assert!(engine.batches_submitted > 0);
     }
 
     #[test]
     fn empty_batches_are_noops() {
-        let mut engine = ShardedEngine::new(shard_counters(8, 2, 1));
+        let mut engine = ShardedEngine::new(bulk_counters(8, 2, 1));
         engine.submit(&[]);
-        assert_eq!(engine.batches_submitted(), 0);
+        assert_eq!(engine.batches_submitted, 0);
         assert_eq!(engine.map_shards(|shard| shard.edges_seen()), vec![0, 0]);
-    }
-
-    #[test]
-    fn consume_drains_a_batch_source_like_manual_submission() {
-        let stream = tristream_gen::planted_triangles(20, 50, 3);
-        let source = stream
-            .batches(64)
-            .map(|b| Ok::<_, std::io::Error>(b.to_vec()));
-        let mut fed = ShardedEngine::new(shard_counters(32, 2, 9));
-        let edges = fed.consume(source).unwrap();
-        assert_eq!(edges, stream.len() as u64);
-
-        let mut manual = ShardedEngine::new(shard_counters(32, 2, 9));
-        for batch in stream.batches(64) {
-            manual.submit(batch);
-        }
-        assert_eq!(
-            fed.map_shards(|shard| shard.raw_estimates()),
-            manual.map_shards(|shard| shard.raw_estimates()),
-        );
-    }
-
-    #[test]
-    fn consume_stops_at_the_first_source_error_but_keeps_prior_batches() {
-        let good: Vec<Edge> = (0..10u64).map(|i| Edge::new(i, i + 1)).collect();
-        let source = vec![
-            Ok(good.clone()),
-            Err("disk on fire"),
-            Ok(good.clone()), // must never be submitted
-        ];
-        let mut engine = ShardedEngine::new(shard_counters(8, 2, 1));
-        assert_eq!(engine.consume(source), Err("disk on fire"));
-        assert_eq!(engine.map_shards(|shard| shard.edges_seen()), vec![10, 10]);
     }
 
     #[test]
     fn engine_matches_direct_sequential_processing_bit_for_bit() {
         let stream = tristream_gen::holme_kim(150, 3, 0.5, 11);
-        let mut engine = ShardedEngine::new(shard_counters(64, 4, 21));
-        let mut direct = shard_counters(64, 4, 21);
+        let mut engine = ShardedEngine::new(bulk_counters(64, 4, 21));
+        let mut direct = bulk_counters(64, 4, 21);
         for batch in stream.batches(97) {
             engine.submit(batch);
             for counter in &mut direct {
@@ -453,7 +354,7 @@ mod tests {
         let stream = tristream_gen::planted_triangles(10, 30, 5);
         let weak: Weak<Shared<BulkTriangleCounter>>;
         {
-            let mut engine = ShardedEngine::new(shard_counters(16, 4, 2));
+            let mut engine = ShardedEngine::new(bulk_counters(16, 4, 2));
             weak = Arc::downgrade(&engine.shared);
             for batch in stream.batches(16) {
                 engine.submit(batch);
@@ -493,26 +394,6 @@ mod tests {
         assert_eq!(engine_bits, reference_bits);
         assert_eq!(
             engine.map_shards(|shard| shard.edges_seen()),
-            vec![stream.len() as u64; 2]
-        );
-    }
-
-    #[test]
-    fn clone_snapshots_state_into_an_independent_pool() {
-        let stream = tristream_gen::planted_triangles(15, 40, 8);
-        let mut engine = ShardedEngine::new(shard_counters(32, 2, 4));
-        for batch in stream.batches(32) {
-            engine.submit(batch);
-        }
-        let cloned = engine.clone();
-        assert_eq!(
-            engine.map_shards(|shard| shard.raw_estimates()),
-            cloned.map_shards(|shard| shard.raw_estimates()),
-        );
-        // Advancing the original must not touch the clone.
-        engine.submit(stream.edges());
-        assert_eq!(
-            cloned.map_shards(|shard| shard.edges_seen()),
             vec![stream.len() as u64; 2]
         );
     }

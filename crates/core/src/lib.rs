@@ -70,12 +70,9 @@ pub mod transitivity;
 pub use bulk::{BulkTriangleCounter, Level1Strategy};
 pub use clique::FourCliqueCounter;
 pub use counter::{Aggregation, TriangleCounter};
-pub use engine::ShardedEngine;
 pub use estimator::{EstimatorState, NeighborhoodSampler, PositionedEdge};
 pub use fastmap::FastMap;
-pub use parallel::{
-    shard_counters, shard_seed, ParallelBulkTriangleCounter, ShardedEstimator, SHARD_SEED_STRIDE,
-};
+pub use parallel::{shard_seed, ShardedEstimator, SHARD_SEED_STRIDE};
 pub use pool::{BitSet, BufferedRng, EstimatorPool};
 pub use reference::ReferenceBulkCounter;
 pub use sampler::TriangleSampler;

@@ -1,30 +1,29 @@
-//! Multi-core bulk triangle counting.
+//! Multi-core triangle counting.
 //!
 //! The paper's conclusion (§6) observes that maintaining the estimate is
 //! CPU-bound even when streaming from disk, and points to follow-up work on
 //! a parallel, cache-efficient variant of neighborhood sampling. This module
 //! provides the natural shared-nothing parallelisation: the estimator pool
 //! is partitioned into independent shards, each shard advances over the same
-//! batch on its own long-lived worker thread (see [`crate::engine`]), and
-//! queries aggregate across shards. Because estimators never interact, the
-//! sharded counter computes exactly the same *distribution* of estimates as
-//! the sequential one — each shard is simply a smaller, independent
-//! [`BulkTriangleCounter`].
+//! batch on its own long-lived worker thread, and queries aggregate across
+//! shards. Because estimators never interact, the sharded counter computes
+//! exactly the same *distribution* of estimates as the sequential one —
+//! each shard is simply a smaller, independent estimator.
 //!
-//! Worker threads are created **once**, when the counter is built, and are
-//! fed batches over channels; [`process_batch`](ParallelBulkTriangleCounter::process_batch)
-//! only copies the batch and enqueues it, so the per-batch hot path contains
-//! no thread spawn or join. Queries ([`estimate`](ParallelBulkTriangleCounter::estimate)
-//! and friends) synchronise with the workers first, so results are
+//! Worker threads are created **once**, when the [`ShardedEstimator`] is
+//! built, and are fed batches over bounded channels;
+//! [`process_batch`](ShardedEstimator::process_batch) only copies the batch
+//! and enqueues it, so the per-batch hot path contains no thread spawn or
+//! join. Queries synchronise with the workers first, so results are
 //! indistinguishable from fully synchronous processing.
 
 use crate::bulk::{BulkTriangleCounter, Level1Strategy};
-use crate::counter::Aggregation;
 use crate::engine::ShardedEngine;
+use crate::snapshot::SEC_SHARD_BASE;
 use crate::traits::TriangleEstimator;
 use tristream_graph::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use tristream_graph::Edge;
-use tristream_sample::{mean, median_of_means};
+use tristream_sample::mean;
 
 /// Multiplier used to decorrelate per-shard seeds (the golden-ratio mixing
 /// constant). Part of the counter's deterministic seeding contract: shard
@@ -43,229 +42,58 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed.wrapping_add(shard as u64 * SHARD_SEED_STRIDE)
 }
 
-/// Builds the shard pool behind a [`ParallelBulkTriangleCounter`]:
-/// `ceil(r / shards)` estimators per shard, shard `i` seeded
-/// `seed + i * `[`SHARD_SEED_STRIDE`]. This *is* the counter's seeding
-/// contract — exposed so reference implementations (e.g. the
-/// spawn-per-batch benchmark baseline) stay estimate-for-estimate
-/// comparable by construction rather than by copying the recipe.
-///
-/// # Panics
-///
-/// Panics if `r` or `shards` is zero.
-pub fn shard_counters(
-    r: usize,
-    shards: usize,
-    seed: u64,
-    strategy: Level1Strategy,
-) -> Vec<BulkTriangleCounter> {
-    assert!(r > 0, "at least one estimator is required");
-    assert!(shards > 0, "at least one shard is required");
-    let per_shard = r.div_ceil(shards);
-    (0..shards)
-        .map(|i| {
-            BulkTriangleCounter::new(per_shard, shard_seed(seed, i)).with_level1_strategy(strategy)
-        })
-        .collect()
-}
-
-/// A bulk triangle counter whose estimator pool is sharded across a pool of
-/// persistent worker threads.
-#[derive(Debug, Clone)]
-pub struct ParallelBulkTriangleCounter {
-    engine: ShardedEngine,
-    aggregation: Aggregation,
-    edges_seen: u64,
-}
-
-impl ParallelBulkTriangleCounter {
-    /// Creates a counter with (at least) `r` estimators split evenly across
-    /// `shards` shards. Each shard gets `ceil(r / shards)` estimators, so
-    /// the effective pool can be slightly larger than requested.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `shards` is zero.
-    pub fn new(r: usize, shards: usize, seed: u64) -> Self {
-        Self::with_aggregation(r, shards, seed, Aggregation::Mean)
-    }
-
-    /// Creates a counter with an explicit aggregation strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `shards` is zero, or a median-of-means aggregation
-    /// requests zero groups.
-    pub fn with_aggregation(r: usize, shards: usize, seed: u64, aggregation: Aggregation) -> Self {
-        assert!(r > 0, "at least one estimator is required");
-        assert!(shards > 0, "at least one shard is required");
-        if let Aggregation::MedianOfMeans { groups } = aggregation {
-            assert!(groups > 0, "median-of-means needs at least one group");
-        }
-        let counters = shard_counters(r, shards, seed, Level1Strategy::GeometricSkip);
-        Self {
-            engine: ShardedEngine::new(counters),
-            aggregation,
-            edges_seen: 0,
-        }
-    }
-
-    /// Selects how level-1 resampling iterates over each shard's pool,
-    /// mirroring [`BulkTriangleCounter::with_level1_strategy`]; returns
-    /// `self` for builder-style chaining. The default is
-    /// [`Level1Strategy::GeometricSkip`].
-    ///
-    /// Intended to be called at construction time; state already processed
-    /// is preserved (the shards are cloned into a fresh worker pool).
-    pub fn with_level1_strategy(self, strategy: Level1Strategy) -> Self {
-        let counters = self
-            .engine
-            .clone_shards()
-            .into_iter()
-            .map(|counter| counter.with_level1_strategy(strategy))
-            .collect();
-        Self {
-            engine: ShardedEngine::new(counters),
-            aggregation: self.aggregation,
-            edges_seen: self.edges_seen,
-        }
-    }
-
-    /// The level-1 resampling strategy shards use.
-    pub fn level1_strategy(&self) -> Level1Strategy {
-        self.engine.map_shards(|shard| shard.level1_strategy())[0]
-    }
-
-    /// Number of shards (persistent worker threads).
-    pub fn num_shards(&self) -> usize {
-        self.engine.num_shards()
-    }
-
-    /// Total number of estimators across shards.
-    pub fn num_estimators(&self) -> usize {
-        self.engine
-            .map_shards(|shard| shard.num_estimators())
-            .iter()
-            .sum()
-    }
-
-    /// Number of edges observed so far.
-    pub fn edges_seen(&self) -> u64 {
-        self.edges_seen
-    }
-
-    /// Ingests one batch of edges: the batch is enqueued on every shard's
-    /// persistent worker and this call returns without waiting, so the
-    /// caller can overlap producing the next batch with processing.
-    pub fn process_batch(&mut self, batch: &[Edge]) {
-        if batch.is_empty() {
-            return;
-        }
-        self.engine.submit(batch);
-        self.edges_seen += batch.len() as u64;
-    }
-
-    /// Processes a whole stream in batches of `batch_size` edges.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size` is zero.
-    pub fn process_stream(&mut self, edges: &[Edge], batch_size: usize) {
-        assert!(batch_size > 0, "batch size must be positive");
-        for chunk in edges.chunks(batch_size) {
-            self.process_batch(chunk);
-        }
-    }
-
-    /// Ingests a whole *batch source* — any fallible iterator of edge
-    /// batches, such as
-    /// `tristream_graph::io::read_edge_list_batched_file` or
-    /// `tristream_graph::binary::read_edges_binary_batched_file` — and
-    /// returns the number of edges ingested. The source's first error is
-    /// propagated; edges ingested before it remain counted.
-    pub fn process_source<E>(
-        &mut self,
-        source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
-    ) -> Result<u64, E> {
-        crate::engine::drain_batch_source(source, |batch| self.process_batch(batch))
-    }
-
-    /// Per-estimator raw estimates across all shards (waits for in-flight
-    /// batches first).
-    pub fn raw_estimates(&self) -> Vec<f64> {
-        self.engine
-            .map_shards(|shard| shard.raw_estimates())
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// The aggregated triangle-count estimate over all shards (waits for
-    /// in-flight batches first).
-    pub fn estimate(&self) -> f64 {
-        let raw = self.raw_estimates();
-        match self.aggregation {
-            Aggregation::Mean => mean(&raw),
-            Aggregation::MedianOfMeans { groups } => median_of_means(&raw, groups),
-        }
-    }
-
-    /// Number of estimators (across all shards) currently holding a triangle.
-    pub fn estimators_with_triangle(&self) -> usize {
-        self.engine
-            .map_shards(|shard| shard.estimators_with_triangle())
-            .iter()
-            .sum()
-    }
-}
-
-impl TriangleEstimator for ParallelBulkTriangleCounter {
-    /// A single edge is a batch of one, as for the sequential bulk counter.
-    fn process_edge(&mut self, edge: Edge) {
-        self.process_batch(&[edge]);
-    }
-
-    /// One call, one batch on every shard — identical boundaries to
-    /// [`ParallelBulkTriangleCounter::process_batch`].
-    fn process_edges(&mut self, edges: &[Edge]) {
-        self.process_batch(edges);
-    }
-
-    fn estimate(&self) -> f64 {
-        ParallelBulkTriangleCounter::estimate(self)
-    }
-
-    fn edges_seen(&self) -> u64 {
-        ParallelBulkTriangleCounter::edges_seen(self)
-    }
-
-    /// Sum of the shard pools' estimator state.
-    fn memory_words(&self) -> usize {
-        self.engine
-            .map_shards(TriangleEstimator::memory_words)
-            .iter()
-            .sum()
-    }
-}
-
 /// A sharded, multi-threaded wrapper around *any* [`TriangleEstimator`]:
 /// `shards` independent instances built by a caller-supplied factory, each
-/// advanced on its own persistent worker thread (the generic
-/// [`ShardedEngine`]), with the final estimate the plain mean of the shard
-/// estimates.
+/// advanced on its own persistent worker thread, with the final estimate
+/// the plain mean of the shard estimates.
 ///
-/// The factory receives each shard's seed under the same contract as
-/// [`shard_counters`]: shard `i` gets `seed + i ·`[`SHARD_SEED_STRIDE`].
-/// With a single shard the wrapper is *bit-identical* to the sequential
-/// estimator fed the same batches — the property the parity tests pin.
+/// The factory receives each shard's seed under the sharding contract:
+/// shard `i` gets [`shard_seed`]`(seed, i)`. With a single shard the
+/// wrapper is *bit-identical* to the sequential estimator fed the same
+/// batches — the property the parity tests pin.
 ///
-/// This is the execution path behind `tristream-cli count --parallel
-/// --algo <name>`: the registry's boxed constructors plug straight in as
+/// [`bulk`](ShardedEstimator::bulk) builds the pool behind
+/// `tristream-cli count --parallel`; `count --parallel --algo <name>` and
+/// the serve daemon plug the registry's boxed constructors in as
 /// `ShardedEstimator<Box<dyn TriangleEstimator + Send>>`.
 #[derive(Debug)]
 pub struct ShardedEstimator<C: TriangleEstimator + Send + 'static> {
     engine: ShardedEngine<C>,
     edges_seen: u64,
+}
+
+impl ShardedEstimator<BulkTriangleCounter> {
+    /// A bulk triangle counter with (at least) `r` estimators split evenly
+    /// across `shards` shards: `ceil(r / shards)` estimators per shard,
+    /// each resampling level 1 with [`Level1Strategy::GeometricSkip`].
+    /// The effective pool can be slightly larger than requested.
+    ///
+    /// ```
+    /// use tristream_core::{ShardedEstimator, TriangleEstimator};
+    ///
+    /// let mut counter = ShardedEstimator::bulk(4_096, 4, 7);
+    /// let stream = tristream_gen::planted_triangles(20, 40, 1);
+    /// for batch in stream.batches(128) {
+    ///     counter.process_batch(batch);
+    /// }
+    /// let pool: usize = counter.map_shards(|shard| shard.num_estimators()).iter().sum();
+    /// assert_eq!(pool, 4_096);
+    /// assert!(counter.estimate() >= 0.0);
+    /// // Workers are joined when `counter` goes out of scope.
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` or `shards` is zero.
+    pub fn bulk(r: usize, shards: usize, seed: u64) -> Self {
+        assert!(r > 0, "at least one estimator is required");
+        assert!(shards > 0, "at least one shard is required");
+        let per_shard = r.div_ceil(shards);
+        Self::from_factory(shards, seed, |shard_seed| {
+            BulkTriangleCounter::new(per_shard, shard_seed)
+                .with_level1_strategy(Level1Strategy::GeometricSkip)
+        })
+    }
 }
 
 impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
@@ -298,9 +126,12 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
         self.edges_seen += batch.len() as u64;
     }
 
-    /// Ingests a whole batch source (see
-    /// [`ShardedEngine::consume`]), returning the number of edges
-    /// ingested; the source's first error is propagated.
+    /// Ingests a whole *batch source* — any fallible iterator of edge
+    /// batches, such as
+    /// `tristream_graph::io::read_edge_list_batched_file` or
+    /// `tristream_graph::binary::read_edges_binary_batched_file` — and
+    /// returns the number of edges ingested. The source's first error is
+    /// propagated; edges ingested before it remain counted.
     pub fn process_source<E>(
         &mut self,
         source: impl IntoIterator<Item = Result<Vec<Edge>, E>>,
@@ -308,17 +139,17 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
         crate::engine::drain_batch_source(source, |batch| self.process_batch(batch))
     }
 
-    /// Per-shard estimates, in shard order (waits for in-flight batches).
-    pub fn shard_estimates(&self) -> Vec<f64> {
-        self.engine.map_shards(|shard| shard.estimate())
+    /// Waits for in-flight batches, then applies `f` to every shard's
+    /// estimator in shard order and returns the results.
+    pub fn map_shards<T>(&self, f: impl FnMut(&C) -> T) -> Vec<T> {
+        self.engine.map_shards(f)
     }
 
     /// Per-shard snapshots, in shard order — the building blocks the
     /// [`TriangleEstimator::snapshot`] container nests, exposed so callers
     /// can also ship shard state to independent processes.
     pub fn shard_snapshots(&self) -> Result<Vec<Vec<u8>>, SnapshotError> {
-        self.engine
-            .map_shards(|shard| shard.snapshot())
+        self.map_shards(|shard| shard.snapshot())
             .into_iter()
             .collect()
     }
@@ -378,6 +209,18 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     }
 }
 
+/// The snapshot section holding shard `shard`'s nested snapshot:
+/// [`SEC_SHARD_BASE`]` + shard`, or [`SnapshotError::Incompatible`] when
+/// that leaves the `u16` section id space.
+fn shard_section(shard: usize) -> Result<u16, SnapshotError> {
+    u16::try_from(shard)
+        .ok()
+        .and_then(|offset| SEC_SHARD_BASE.checked_add(offset))
+        .ok_or_else(|| SnapshotError::Incompatible {
+            reason: format!("shard {shard} exceeds the snapshot section id space"),
+        })
+}
+
 /// Decode the `edges_seen` a (bulk or sharded) estimator snapshot claims.
 fn snapshot_edges_seen(bytes: &[u8]) -> Result<u64, SnapshotError> {
     let reader = SnapshotReader::parse(bytes)?;
@@ -413,7 +256,7 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
     /// variance; with equal per-shard pools this equals pooling all
     /// estimators in one counter.
     fn estimate(&self) -> f64 {
-        mean(&self.shard_estimates())
+        mean(&self.map_shards(|shard| shard.estimate()))
     }
 
     fn edges_seen(&self) -> u64 {
@@ -422,16 +265,12 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
 
     /// Sum of the shard estimators' state.
     fn memory_words(&self) -> usize {
-        self.engine
-            .map_shards(|shard| shard.memory_words())
-            .iter()
-            .sum()
+        self.map_shards(|shard| shard.memory_words()).iter().sum()
     }
 
     /// Snapshots are supported exactly when every shard supports them.
     fn supports_snapshot(&self) -> bool {
-        self.engine
-            .map_shards(|shard| shard.supports_snapshot())
+        self.map_shards(|shard| shard.supports_snapshot())
             .iter()
             .all(|&s| s)
     }
@@ -449,12 +288,7 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
         let mut writer = SnapshotWriter::new();
         writer.section(crate::snapshot::SEC_META, &meta)?;
         for (i, bytes) in shard_bytes.iter().enumerate() {
-            let Ok(offset) = u16::try_from(i) else {
-                return Err(SnapshotError::Incompatible {
-                    reason: format!("{} shards exceed the section id space", shard_bytes.len()),
-                });
-            };
-            writer.section(crate::snapshot::SEC_SHARD_BASE + offset, bytes)?;
+            writer.section(shard_section(i)?, bytes)?;
         }
         Ok(writer.finish())
     }
@@ -487,12 +321,7 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
         }
         let mut nested = Vec::with_capacity(self.num_shards());
         for i in 0..self.num_shards() {
-            let Ok(offset) = u16::try_from(i) else {
-                return Err(SnapshotError::Incompatible {
-                    reason: format!("{} shards exceed the section id space", self.num_shards()),
-                });
-            };
-            let mut section = reader.section(crate::snapshot::SEC_SHARD_BASE + offset)?;
+            let mut section = reader.section(shard_section(i)?)?;
             nested.push(section.rest().to_vec());
         }
         let mut results = Vec::with_capacity(self.num_shards());
@@ -514,74 +343,91 @@ mod tests {
     use tristream_graph::exact::count_triangles;
     use tristream_graph::Adjacency;
 
+    type Bulk = ShardedEstimator<BulkTriangleCounter>;
+
+    fn pool_size(counter: &Bulk) -> usize {
+        counter
+            .map_shards(|shard| shard.num_estimators())
+            .iter()
+            .sum()
+    }
+
+    fn raw_estimates(counter: &Bulk) -> Vec<f64> {
+        counter.map_shards(|shard| shard.raw_estimates()).concat()
+    }
+
+    fn feed(counter: &mut Bulk, edges: &[Edge], batch_size: usize) {
+        for batch in edges.chunks(batch_size) {
+            counter.process_batch(batch);
+        }
+    }
+
+    /// The shard pool [`ShardedEstimator::bulk`] documents, built on the
+    /// caller's thread.
+    fn bulk_shards(r: usize, shards: usize, seed: u64) -> Vec<BulkTriangleCounter> {
+        (0..shards)
+            .map(|i| {
+                BulkTriangleCounter::new(r.div_ceil(shards), shard_seed(seed, i))
+                    .with_level1_strategy(Level1Strategy::GeometricSkip)
+            })
+            .collect()
+    }
+
     #[test]
     #[should_panic]
     fn zero_shards_panics() {
-        let _ = ParallelBulkTriangleCounter::new(10, 0, 1);
+        let _ = ShardedEstimator::bulk(10, 0, 1);
     }
 
     #[test]
     #[should_panic]
     fn zero_estimators_panics() {
-        let _ = ParallelBulkTriangleCounter::new(0, 2, 1);
+        let _ = ShardedEstimator::bulk(0, 2, 1);
     }
 
     #[test]
     fn pool_is_split_across_shards() {
-        let c = ParallelBulkTriangleCounter::new(1_000, 4, 1);
+        let c = ShardedEstimator::bulk(1_000, 4, 1);
         assert_eq!(c.num_shards(), 4);
-        assert_eq!(c.num_estimators(), 1_000);
+        assert_eq!(pool_size(&c), 1_000);
         // Uneven splits round up.
-        let c = ParallelBulkTriangleCounter::new(10, 3, 1);
-        assert_eq!(c.num_estimators(), 12);
+        let c = ShardedEstimator::bulk(10, 3, 1);
+        assert_eq!(pool_size(&c), 12);
     }
 
     #[test]
     fn parallel_estimate_matches_truth_on_a_clustered_graph() {
         let stream = tristream_gen::holme_kim(400, 4, 0.6, 3);
         let truth = count_triangles(&Adjacency::from_stream(&stream)) as f64;
-        let mut c = ParallelBulkTriangleCounter::new(24_000, 6, 5);
-        c.process_stream(stream.edges(), 8_192);
+        let mut c = ShardedEstimator::bulk(24_000, 6, 5);
+        feed(&mut c, stream.edges(), 8_192);
         let est = c.estimate();
         assert_eq!(c.edges_seen(), stream.len() as u64);
         assert!(
             (est - truth).abs() < 0.2 * truth,
             "parallel estimate {est} vs truth {truth}"
         );
-        assert!(c.estimators_with_triangle() > 0);
+        let holders: usize = c
+            .map_shards(|shard| shard.estimators_with_triangle())
+            .iter()
+            .sum();
+        assert!(holders > 0);
     }
 
     #[test]
     fn single_shard_degenerates_to_the_sequential_counter() {
         let stream = tristream_gen::planted_triangles(25, 50, 9);
-        let mut parallel = ParallelBulkTriangleCounter::new(512, 1, 7);
-        parallel.process_stream(stream.edges(), 64);
+        let mut parallel = ShardedEstimator::bulk(512, 1, 7);
+        feed(&mut parallel, stream.edges(), 64);
         let mut sequential =
             BulkTriangleCounter::new(512, 7).with_level1_strategy(Level1Strategy::GeometricSkip);
         sequential.process_stream(stream.edges(), 64);
         assert_eq!(parallel.estimate(), sequential.estimate());
     }
 
-    #[test]
-    fn single_shard_per_estimator_strategy_matches_the_sequential_counter() {
-        // API-parity satellite: selecting PerEstimator on the parallel
-        // counter must reproduce the sequential PerEstimator counter
-        // bit-for-bit on a single shard (same seed, same batching).
-        let stream = tristream_gen::planted_triangles(20, 60, 17);
-        let mut parallel = ParallelBulkTriangleCounter::new(256, 1, 13)
-            .with_level1_strategy(Level1Strategy::PerEstimator);
-        assert_eq!(parallel.level1_strategy(), Level1Strategy::PerEstimator);
-        parallel.process_stream(stream.edges(), 37);
-        let mut sequential = BulkTriangleCounter::new(256, 13);
-        assert_eq!(sequential.level1_strategy(), Level1Strategy::PerEstimator);
-        sequential.process_stream(stream.edges(), 37);
-        assert_eq!(parallel.raw_estimates(), sequential.raw_estimates());
-        assert_eq!(parallel.estimate(), sequential.estimate());
-    }
-
-    /// The pre-refactor execution model: fresh scoped threads per batch over
+    /// The pre-engine execution model: fresh scoped threads per batch over
     /// the same per-shard counters. Kept as a reference implementation for
-    /// the equivalence tests below.
+    /// the equivalence test below.
     fn scoped_thread_estimates(
         r: usize,
         shards: usize,
@@ -589,7 +435,7 @@ mod tests {
         edges: &[Edge],
         batch_size: usize,
     ) -> Vec<f64> {
-        let mut pool = shard_counters(r, shards, seed, Level1Strategy::GeometricSkip);
+        let mut pool = bulk_shards(r, shards, seed);
         for batch in edges.chunks(batch_size) {
             std::thread::scope(|scope| {
                 for shard in &mut pool {
@@ -602,54 +448,46 @@ mod tests {
 
     #[test]
     fn persistent_pool_matches_scoped_threads_and_sequential_shards_exactly() {
-        // Distributional-equivalence guarantee, checked at the strongest
-        // possible level: same seeds ⇒ bit-identical per-estimator
-        // estimates across all three execution models.
+        // The shard-seed contract, checked at the strongest possible
+        // level: counters seeded `shard_seed(seed, i)` and fed on the
+        // caller's thread reproduce every per-estimator estimate of the
+        // worker pool bit for bit. 600 / 7 does not divide evenly, so the
+        // rounded-up split is part of what is pinned.
         let stream = tristream_gen::holme_kim(250, 3, 0.5, 19);
-        let (r, shards, seed, batch) = (600, 3, 23, 113);
+        let (r, shards, seed, batch) = (600, 7, 23, 113);
 
-        let mut persistent = ParallelBulkTriangleCounter::new(r, shards, seed);
-        persistent.process_stream(stream.edges(), batch);
-        let persistent_raw = persistent.raw_estimates();
+        let mut persistent = ShardedEstimator::bulk(r, shards, seed);
+        feed(&mut persistent, stream.edges(), batch);
+        let persistent_raw = raw_estimates(&persistent);
 
         let scoped_raw = scoped_thread_estimates(r, shards, seed, stream.edges(), batch);
 
         let mut sequential_raw = Vec::new();
-        for mut counter in shard_counters(r, shards, seed, Level1Strategy::GeometricSkip) {
+        for mut counter in bulk_shards(r, shards, seed) {
             counter.process_stream(stream.edges(), batch);
             sequential_raw.extend(counter.raw_estimates());
         }
 
+        assert_eq!(persistent_raw.len(), shards * r.div_ceil(shards));
         assert_eq!(persistent_raw, scoped_raw);
         assert_eq!(persistent_raw, sequential_raw);
     }
 
     #[test]
-    fn clone_is_independent_of_the_original() {
-        let stream = tristream_gen::planted_triangles(15, 45, 6);
-        let mut a = ParallelBulkTriangleCounter::new(128, 2, 3);
-        a.process_stream(stream.edges(), 32);
-        let b = a.clone();
-        assert_eq!(a.raw_estimates(), b.raw_estimates());
-        a.process_batch(stream.edges());
-        assert_eq!(b.edges_seen(), stream.len() as u64);
-        assert_eq!(a.edges_seen(), 2 * stream.len() as u64);
-    }
-
-    #[test]
     fn empty_batches_are_noops() {
-        let mut c = ParallelBulkTriangleCounter::new(64, 4, 3);
+        let mut c = ShardedEstimator::bulk(64, 4, 3);
         c.process_batch(&[]);
         assert_eq!(c.edges_seen(), 0);
+        assert_eq!(c.map_shards(|shard| shard.edges_seen()), vec![0; 4]);
         assert_eq!(c.estimate(), 0.0);
     }
 
     #[test]
     fn process_source_matches_process_stream_bit_for_bit() {
         let stream = tristream_gen::planted_triangles(25, 50, 9);
-        let mut by_stream = ParallelBulkTriangleCounter::new(512, 2, 7);
-        by_stream.process_stream(stream.edges(), 64);
-        let mut by_source = ParallelBulkTriangleCounter::new(512, 2, 7);
+        let mut by_stream = ShardedEstimator::bulk(512, 2, 7);
+        feed(&mut by_stream, stream.edges(), 64);
+        let mut by_source = ShardedEstimator::bulk(512, 2, 7);
         let edges = by_source
             .process_source(
                 stream
@@ -659,25 +497,25 @@ mod tests {
             .unwrap();
         assert_eq!(edges, stream.len() as u64);
         assert_eq!(by_source.edges_seen(), by_stream.edges_seen());
-        assert_eq!(by_source.raw_estimates(), by_stream.raw_estimates());
+        assert_eq!(raw_estimates(&by_source), raw_estimates(&by_stream));
     }
 
     #[test]
     fn process_source_propagates_errors_and_keeps_the_prefix_counted() {
         let good: Vec<Edge> = (0..8u64).map(|i| Edge::new(i, i + 1)).collect();
-        let mut c = ParallelBulkTriangleCounter::new(64, 2, 3);
+        let mut c = ShardedEstimator::bulk(64, 2, 3);
         let result = c.process_source(vec![Ok(good.clone()), Err("gone"), Ok(good)]);
         assert_eq!(result, Err("gone"));
         assert_eq!(c.edges_seen(), 8, "prefix before the error stays counted");
+        assert_eq!(c.map_shards(|shard| shard.edges_seen()), vec![8, 8]);
     }
 
     #[test]
     fn sharded_estimator_single_shard_is_bit_identical_to_the_sequential_counter() {
         // The generic factory path must preserve the engine's transport
         // transparency: one shard, same seed, same batch boundaries ⇒ the
-        // same bits as the sequential estimator — including with the
-        // PerEstimator level-1 strategy, extending the existing
-        // PerEstimator parity test to the generic engine.
+        // same bits as the sequential estimator, under either level-1
+        // strategy.
         let stream = tristream_gen::planted_triangles(20, 60, 17);
         for strategy in [Level1Strategy::PerEstimator, Level1Strategy::GeometricSkip] {
             let mut sharded = ShardedEstimator::from_factory(1, 13, |seed| {
@@ -703,8 +541,8 @@ mod tests {
 
     #[test]
     fn sharded_estimator_uses_the_shard_seed_stride_contract() {
-        // The factory must be handed exactly the seeds `shard_counters`
-        // would use, so generic and specialised sharding stay comparable.
+        // The factory must be handed exactly the seeds `shard_seed` hands
+        // out, so every sharded pool stays comparable to its references.
         let mut seeds_seen = Vec::new();
         let sharded = ShardedEstimator::from_factory(3, 21, |seed| {
             seeds_seen.push(seed);
@@ -733,20 +571,24 @@ mod tests {
             TriangleEstimator::estimate(&boxed).to_bits(),
             TriangleEstimator::estimate(&concrete).to_bits()
         );
-        assert_eq!(boxed.shard_estimates(), concrete.shard_estimates());
+        assert_eq!(
+            boxed.map_shards(|shard| shard.estimate().to_bits()),
+            concrete.map_shards(|shard| shard.estimate().to_bits())
+        );
     }
 
     #[test]
-    fn median_of_means_aggregation_is_supported() {
-        let stream = tristream_gen::planted_triangles(60, 120, 5);
-        let mut c = ParallelBulkTriangleCounter::with_aggregation(
-            8_000,
-            4,
-            3,
-            Aggregation::MedianOfMeans { groups: 8 },
-        );
-        c.process_stream(stream.edges(), 2_048);
-        let est = c.estimate();
-        assert!((est - 60.0).abs() < 0.35 * 60.0, "estimate {est}");
+    fn shard_section_ids_stop_at_the_end_of_the_u16_space() {
+        assert_eq!(shard_section(0).unwrap(), SEC_SHARD_BASE);
+        assert_eq!(shard_section(65_519).unwrap(), u16::MAX);
+        for shard in [65_520, usize::from(u16::MAX) + 1, usize::MAX] {
+            assert!(
+                matches!(
+                    shard_section(shard),
+                    Err(SnapshotError::Incompatible { .. })
+                ),
+                "shard {shard}"
+            );
+        }
     }
 }

@@ -3,7 +3,6 @@
 //! counter (§6 follow-up), the shared-pool transitivity estimator, and the
 //! command-line front end.
 
-use tristream::core::parallel::ParallelBulkTriangleCounter;
 use tristream::core::Level1Strategy;
 use tristream::graph::exact;
 use tristream::prelude::*;
@@ -40,10 +39,16 @@ fn geometric_skip_and_per_estimator_strategies_agree() {
 fn parallel_counter_matches_truth_and_uses_all_shards() {
     let stream = workload();
     let truth = exact::count_triangles(&Adjacency::from_stream(&stream)) as f64;
-    let mut counter = ParallelBulkTriangleCounter::new(24_000, 6, 7);
+    let mut counter = ShardedEstimator::bulk(24_000, 6, 7);
     assert_eq!(counter.num_shards(), 6);
-    assert_eq!(counter.num_estimators(), 24_000);
-    counter.process_stream(stream.edges(), 8_192);
+    let pool: usize = counter
+        .map_shards(|shard| shard.num_estimators())
+        .iter()
+        .sum();
+    assert_eq!(pool, 24_000);
+    for batch in stream.batches(8_192) {
+        counter.process_batch(batch);
+    }
     let est = counter.estimate();
     assert!(
         (est - truth).abs() < 0.25 * truth,
