@@ -328,6 +328,42 @@ mod tests {
     }
 
     #[test]
+    fn consume_drains_a_batch_source_like_manual_submission() {
+        let stream = tristream_gen::planted_triangles(20, 50, 3);
+        let source = stream
+            .batches(64)
+            .map(|b| Ok::<_, std::io::Error>(b.to_vec()));
+        let mut fed = ShardedEngine::new(bulk_counters(32, 2, 9));
+        let edges = drain_batch_source(source, |batch| fed.submit(batch)).unwrap();
+        assert_eq!(edges, stream.len() as u64);
+
+        let mut manual = ShardedEngine::new(bulk_counters(32, 2, 9));
+        for batch in stream.batches(64) {
+            manual.submit(batch);
+        }
+        assert_eq!(fed.batches_submitted, manual.batches_submitted);
+        assert_eq!(
+            fed.map_shards(|shard| shard.raw_estimates()),
+            manual.map_shards(|shard| shard.raw_estimates()),
+        );
+    }
+
+    #[test]
+    fn consume_stops_at_the_first_source_error_but_keeps_prior_batches() {
+        let good: Vec<Edge> = (0..10u64).map(|i| Edge::new(i, i + 1)).collect();
+        let source = vec![
+            Ok(good.clone()),
+            Err("disk on fire"),
+            Ok(good.clone()), // must never be submitted
+        ];
+        let mut engine = ShardedEngine::new(bulk_counters(8, 2, 1));
+        let result = drain_batch_source(source, |batch| engine.submit(batch));
+        assert_eq!(result, Err("disk on fire"));
+        assert_eq!(engine.batches_submitted, 1);
+        assert_eq!(engine.map_shards(|shard| shard.edges_seen()), vec![10, 10]);
+    }
+
+    #[test]
     fn engine_matches_direct_sequential_processing_bit_for_bit() {
         let stream = tristream_gen::holme_kim(150, 3, 0.5, 11);
         let mut engine = ShardedEngine::new(bulk_counters(64, 4, 21));

@@ -540,6 +540,35 @@ mod tests {
     }
 
     #[test]
+    fn single_shard_per_estimator_strategy_matches_the_sequential_counter() {
+        // Per-estimator parity: with PerEstimator level-1 sampling, a single
+        // shard built through the factory keeps every estimator's raw value
+        // bit-identical to the sequential counter (same seed, same batching).
+        let stream = tristream_gen::planted_triangles(20, 60, 17);
+        let mut sharded = ShardedEstimator::from_factory(1, 13, |seed| {
+            BulkTriangleCounter::new(256, seed).with_level1_strategy(Level1Strategy::PerEstimator)
+        });
+        assert_eq!(
+            sharded.map_shards(|shard| shard.level1_strategy()),
+            vec![Level1Strategy::PerEstimator]
+        );
+        let mut sequential = BulkTriangleCounter::new(256, 13);
+        assert_eq!(sequential.level1_strategy(), Level1Strategy::PerEstimator);
+        for batch in stream.batches(37) {
+            sharded.process_batch(batch);
+        }
+        sequential.process_stream(stream.edges(), 37);
+        assert_eq!(
+            sharded.map_shards(|shard| shard.raw_estimates()).concat(),
+            sequential.raw_estimates()
+        );
+        assert_eq!(
+            TriangleEstimator::estimate(&sharded).to_bits(),
+            TriangleEstimator::estimate(&sequential).to_bits()
+        );
+    }
+
+    #[test]
     fn sharded_estimator_uses_the_shard_seed_stride_contract() {
         // The factory must be handed exactly the seeds `shard_seed` hands
         // out, so every sharded pool stays comparable to its references.
