@@ -908,54 +908,69 @@ impl BulkTriangleCounter {
 }
 
 impl BulkTriangleCounter {
-    /// Serialize the complete counter state into a `TSS\0` snapshot
+    /// Serialize the complete counter state into a fresh `TSS\0` snapshot
     /// container (layout documented in [`crate::snapshot`]): pool columns,
     /// presence bitsets, RNG state (inner generator + refill buffer +
     /// cursor), stream position, and configuration. Restoring the bytes
     /// and continuing the stream is bit-identical to never having stopped.
+    /// [`TriangleEstimator::snapshot_into`](crate::TriangleEstimator::snapshot_into)
+    /// appends the same bytes to an existing buffer.
     pub fn to_snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
+        crate::traits::TriangleEstimator::snapshot(self)
+    }
+
+    /// Exact byte length of this counter's snapshot container: the header,
+    /// four section frames, and the META, columns, bitsets and RNG
+    /// payloads.
+    fn snapshot_len(&self) -> usize {
+        const META_LEN: usize = 1 + 3 * 8 + 1 + 8 + 1;
+        const FRAMING: usize = tristream_graph::snapshot::SNAPSHOT_HEADER_LEN + 4 * (2 + 8 + 8);
         let r = self.pool.len();
-        let mut meta = Vec::with_capacity(35);
-        meta.push(crate::snapshot::KIND_BULK);
-        put_u64s(&mut meta, &[r as u64, self.seed, self.edges_seen]);
-        match self.aggregation {
-            Aggregation::Mean => {
-                meta.push(0);
-                put_u64s(&mut meta, &[0]);
+        let rng_words = 4 + 1 + RNG_BUFFER_LEN;
+        FRAMING + META_LEN + 8 * (POOL_COLUMNS * r + 3 * r.div_ceil(64) + rng_words)
+    }
+
+    /// Appends the snapshot container to `out`, writing every payload in
+    /// place.
+    fn write_snapshot(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        out.reserve(self.snapshot_len());
+        let mut writer = SnapshotWriter::new(out);
+        writer.section_with(crate::snapshot::SEC_META, |meta| {
+            meta.push(crate::snapshot::KIND_BULK);
+            put_u64s(meta, &[self.pool.len() as u64, self.seed, self.edges_seen]);
+            let (agg_tag, groups) = match self.aggregation {
+                Aggregation::Mean => (0, 0),
+                Aggregation::MedianOfMeans { groups } => (1, groups as u64),
+            };
+            meta.push(agg_tag);
+            put_u64s(meta, &[groups]);
+            meta.push(match self.level1_strategy {
+                Level1Strategy::PerEstimator => 0,
+                Level1Strategy::GeometricSkip => 1,
+            });
+            Ok(())
+        })?;
+        writer.section_with(crate::snapshot::SEC_COLUMNS, |columns| {
+            for col in self.pool.snapshot_columns() {
+                put_u64s(columns, col);
             }
-            Aggregation::MedianOfMeans { groups } => {
-                meta.push(1);
-                put_u64s(&mut meta, &[groups as u64]);
-            }
-        }
-        meta.push(match self.level1_strategy {
-            Level1Strategy::PerEstimator => 0,
-            Level1Strategy::GeometricSkip => 1,
-        });
-
-        let mut columns = Vec::with_capacity(POOL_COLUMNS * r * 8);
-        for col in self.pool.snapshot_columns() {
-            put_u64s(&mut columns, col);
-        }
-
-        let word_count = r.div_ceil(64);
-        let mut bitsets = Vec::with_capacity(3 * word_count * 8);
-        put_u64s(&mut bitsets, self.pool.r1_set.words());
-        put_u64s(&mut bitsets, self.pool.r2_set.words());
-        put_u64s(&mut bitsets, self.pool.closer_set.words());
-
-        let (state, buf, pos) = self.rng.snapshot_state();
-        let mut rng = Vec::with_capacity((4 + 1 + buf.len()) * 8);
-        put_u64s(&mut rng, &state);
-        put_u64s(&mut rng, &[pos as u64]);
-        put_u64s(&mut rng, buf);
-
-        let mut writer = SnapshotWriter::new();
-        writer.section(crate::snapshot::SEC_META, &meta)?;
-        writer.section(crate::snapshot::SEC_COLUMNS, &columns)?;
-        writer.section(crate::snapshot::SEC_BITSETS, &bitsets)?;
-        writer.section(crate::snapshot::SEC_RNG, &rng)?;
-        Ok(writer.finish())
+            Ok(())
+        })?;
+        writer.section_with(crate::snapshot::SEC_BITSETS, |bitsets| {
+            put_u64s(bitsets, self.pool.r1_set.words());
+            put_u64s(bitsets, self.pool.r2_set.words());
+            put_u64s(bitsets, self.pool.closer_set.words());
+            Ok(())
+        })?;
+        writer.section_with(crate::snapshot::SEC_RNG, |rng| {
+            let (state, buf, pos) = self.rng.snapshot_state();
+            put_u64s(rng, &state);
+            put_u64s(rng, &[pos as u64]);
+            put_u64s(rng, buf);
+            Ok(())
+        })?;
+        writer.finish();
+        Ok(())
     }
 
     /// Rebuild a counter from [`to_snapshot`](Self::to_snapshot) bytes.
@@ -1092,8 +1107,8 @@ impl crate::traits::TriangleEstimator for BulkTriangleCounter {
         true
     }
 
-    fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        self.to_snapshot()
+    fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        self.write_snapshot(out)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {
@@ -1376,5 +1391,16 @@ mod tests {
         let truth = 84.0;
         assert!((c.estimate() - truth).abs() < 0.3 * truth);
         assert!((c.estimate_with(Aggregation::Mean) - truth).abs() < 0.3 * truth);
+    }
+
+    #[test]
+    fn snapshot_len_is_the_exact_container_size() {
+        for r in [1, 63, 64, 65, 1_000] {
+            for aggregation in [Aggregation::Mean, Aggregation::MedianOfMeans { groups: 4 }] {
+                let counter = BulkTriangleCounter::with_aggregation(r, 5, aggregation);
+                let bytes = counter.to_snapshot().unwrap();
+                assert_eq!(bytes.len(), counter.snapshot_len(), "r = {r}");
+            }
+        }
     }
 }

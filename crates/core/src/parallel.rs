@@ -20,8 +20,8 @@
 use crate::bulk::{BulkTriangleCounter, Level1Strategy};
 use crate::engine::ShardedEngine;
 use crate::snapshot::SEC_SHARD_BASE;
-use crate::traits::TriangleEstimator;
-use tristream_graph::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::traits::{TriangleEstimator, BYTES_PER_WORD};
+use tristream_graph::snapshot::{put_u64s, SnapshotError, SnapshotReader, SnapshotWriter};
 use tristream_graph::Edge;
 use tristream_sample::mean;
 
@@ -143,15 +143,6 @@ impl<C: TriangleEstimator + Send + 'static> ShardedEstimator<C> {
     /// estimator in shard order and returns the results.
     pub fn map_shards<T>(&self, f: impl FnMut(&C) -> T) -> Vec<T> {
         self.engine.map_shards(f)
-    }
-
-    /// Per-shard snapshots, in shard order — the building blocks the
-    /// [`TriangleEstimator::snapshot`] container nests, exposed so callers
-    /// can also ship shard state to independent processes.
-    pub fn shard_snapshots(&self) -> Result<Vec<Vec<u8>>, SnapshotError> {
-        self.map_shards(|shard| shard.snapshot())
-            .into_iter()
-            .collect()
     }
 
     /// Merge snapshots taken by `N` *independent* single-process
@@ -276,21 +267,31 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
     }
 
     /// A `KIND_SHARDED` container nesting each shard's own snapshot (see
-    /// [`crate::snapshot`] for the layout).
-    fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        let shard_bytes = self.shard_snapshots()?;
-        let mut meta = Vec::with_capacity(17);
-        meta.push(crate::snapshot::KIND_SHARDED);
-        tristream_graph::snapshot::put_u64s(
-            &mut meta,
-            &[shard_bytes.len() as u64, self.edges_seen],
-        );
-        let mut writer = SnapshotWriter::new();
-        writer.section(crate::snapshot::SEC_META, &meta)?;
-        for (i, bytes) in shard_bytes.iter().enumerate() {
-            writer.section(shard_section(i)?, bytes)?;
-        }
-        Ok(writer.finish())
+    /// [`crate::snapshot`] for the layout). Each shard writes its
+    /// container in place inside its section, into a buffer reserved once
+    /// from [`memory_words`](TriangleEstimator::memory_words).
+    fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        // Bytes a shard's snapshot carries beyond its resident words:
+        // framing, META and the bulk counter's RNG refill buffer.
+        const SHARD_OVERHEAD: usize = 4096;
+        let shards = self.num_shards();
+        out.reserve(self.memory_words() * BYTES_PER_WORD + shards * SHARD_OVERHEAD);
+        let mut writer = SnapshotWriter::new(out);
+        writer.section_with(crate::snapshot::SEC_META, |meta| {
+            meta.push(crate::snapshot::KIND_SHARDED);
+            put_u64s(meta, &[shards as u64, self.edges_seen]);
+            Ok(())
+        })?;
+        let mut shard = 0;
+        self.map_shards(|counter| {
+            let section = shard_section(shard)?;
+            shard += 1;
+            writer.section_with(section, |buf| counter.snapshot_into(buf))
+        })
+        .into_iter()
+        .collect::<Result<(), _>>()?;
+        writer.finish();
+        Ok(())
     }
 
     /// Restore from a `KIND_SHARDED` snapshot with a matching shard
@@ -321,13 +322,12 @@ impl<C: TriangleEstimator + Send + 'static> TriangleEstimator for ShardedEstimat
         }
         let mut nested = Vec::with_capacity(self.num_shards());
         for i in 0..self.num_shards() {
-            let mut section = reader.section(shard_section(i)?)?;
-            nested.push(section.rest().to_vec());
+            nested.push(reader.section(shard_section(i)?)?.rest());
         }
         let mut results = Vec::with_capacity(self.num_shards());
         self.engine.map_shards_mut(|shard| {
             let i = results.len();
-            results.push(shard.restore(&nested[i]));
+            results.push(shard.restore(nested[i]));
         });
         for result in results {
             result?;

@@ -29,6 +29,15 @@
 //!     container, nested verbatim (checksummed twice: once by the shard's
 //!     own sections, once by the enclosing section).
 //!
+//! Nesting costs no copies. Estimators implement
+//! [`TriangleEstimator::snapshot_into`](crate::TriangleEstimator::snapshot_into),
+//! which appends to a caller's buffer, and an enclosing container hands
+//! each nested one its section's buffer through
+//! `SnapshotWriter::section_with`. A sharded snapshot, and the serve
+//! checkpoint around it, is therefore encoded into one buffer, reserved
+//! once from `memory_words()`. On restore each shard decodes its nested
+//! container as a borrowed slice of the enclosing one.
+//!
 //! # Merge semantics
 //!
 //! Neighborhood-sampling shards are independent estimators over the *same*

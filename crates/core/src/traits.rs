@@ -92,8 +92,8 @@ pub trait TriangleEstimator {
     /// documented at [module level](self).
     fn memory_words(&self) -> usize;
 
-    /// Whether [`snapshot`](Self::snapshot) / [`restore`](Self::restore)
-    /// are implemented. Defaults to `false`; the algorithm registry's
+    /// Whether [`snapshot_into`](Self::snapshot_into) /
+    /// [`restore`](Self::restore) are implemented. Defaults to `false`; the algorithm registry's
     /// `snapshotable` capability flag must agree with this answer (pinned
     /// by a registry test), so callers can refuse checkpoint
     /// configurations up front instead of failing at the first snapshot.
@@ -101,16 +101,29 @@ pub trait TriangleEstimator {
         false
     }
 
-    /// Serialize the full estimator state into a versioned `TSS\0`
-    /// snapshot container (`tristream_graph::snapshot`). The contract is
-    /// bit-exactness: restoring the bytes into a fresh instance and
-    /// continuing the stream produces estimates whose `f64` bits equal
-    /// the uninterrupted run's. Defaults to
-    /// [`SnapshotError::Unsupported`].
-    fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
+    /// Append the full estimator state to `out` as a versioned `TSS\0`
+    /// snapshot container (`tristream_graph::snapshot`) — the one
+    /// snapshot method implementors write. Appending (rather than
+    /// returning a fresh `Vec`) lets an enclosing container write this
+    /// one in place, so a nested checkpoint is encoded into one buffer.
+    ///
+    /// The contract is bit-exactness: restoring the bytes into a fresh
+    /// instance and continuing the stream produces estimates whose `f64`
+    /// bits equal the uninterrupted run's. Bytes already in `out` are
+    /// left alone, and on error `out` is truncated back to its original
+    /// length. Defaults to [`SnapshotError::Unsupported`].
+    fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        let _ = out;
         Err(SnapshotError::Unsupported {
             what: "this estimator".to_owned(),
         })
+    }
+
+    /// [`snapshot_into`](Self::snapshot_into) a fresh buffer.
+    fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out)?;
+        Ok(out)
     }
 
     /// Replace this estimator's state with a previously captured
@@ -150,8 +163,8 @@ impl<T: TriangleEstimator + ?Sized> TriangleEstimator for Box<T> {
         (**self).supports_snapshot()
     }
 
-    fn snapshot(&self) -> Result<Vec<u8>, SnapshotError> {
-        (**self).snapshot()
+    fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+        (**self).snapshot_into(out)
     }
 
     fn restore(&mut self, snapshot: &[u8]) -> Result<(), SnapshotError> {

@@ -3,11 +3,13 @@
 //! `TSS\0` container, plus the state-directory layout `serve --state-dir`
 //! persists them under.
 //!
-//! A checkpoint nests the engine's own [`TriangleEstimator::snapshot`]
+//! A checkpoint nests the engine's own [`TriangleEstimator::snapshot_into`]
 //! container (kind `KIND_SHARDED`) inside a serve-level container of kind
 //! [`KIND_STREAM`], so the corruption discipline is uniform: magic,
 //! version, per-section checksums, no trailing bytes, and every failure a
-//! typed [`SnapshotError`] — never a panic. Restoring replays the CREATE
+//! typed [`SnapshotError`] — never a panic. The daemon writes the engine
+//! in place inside the checkpoint's engine section, so a whole checkpoint
+//! is encoded into one buffer. Restoring replays the CREATE
 //! recipe *exactly* (same algorithm, seed, budget, shard count, window)
 //! and then restores the engine, which is what makes a recovered stream's
 //! estimate bit-identical to the uninterrupted run once the remaining
@@ -20,10 +22,11 @@
 //! checkpoint intact; recovery skips (and reports) any file that fails
 //! validation rather than refusing to start.
 //!
-//! [`TriangleEstimator::snapshot`]: tristream_core::TriangleEstimator::snapshot
+//! [`TriangleEstimator::snapshot_into`]: tristream_core::TriangleEstimator::snapshot_into
 
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use tristream_graph::snapshot::{
     put_string, put_u64s, SnapshotError, SnapshotReader, SnapshotWriter,
@@ -73,31 +76,75 @@ pub struct StreamCheckpoint {
 impl StreamCheckpoint {
     /// Serializes the checkpoint to its `TSS\0` container.
     pub fn encode(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut meta = Vec::with_capacity(64);
-        meta.push(KIND_STREAM);
-        put_string(&mut meta, &self.name)?;
-        put_string(&mut meta, &self.algo)?;
-        put_u64s(
-            &mut meta,
-            &[
-                self.seed,
-                self.budget_words,
-                self.window,
-                self.replay_edges,
-                self.ingest_batches,
-            ],
-        );
-        meta.extend_from_slice(&self.shards.to_le_bytes());
-        let mut writer = SnapshotWriter::new();
-        writer.section(SEC_STREAM_META, &meta)?;
-        writer.section(SEC_ENGINE, &self.engine)?;
-        Ok(writer.finish())
+        // 128 bytes cover the header, both section frames and META's
+        // fixed-width fields.
+        let mut out =
+            Vec::with_capacity(128 + self.name.len() + self.algo.len() + self.engine.len());
+        self.encode_into(&mut out, |buf| {
+            buf.extend_from_slice(&self.engine);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// The one stream-checkpoint encoder: appends the container to `out`
+    /// with this checkpoint's META and, as the engine section, whatever
+    /// `engine` appends in place. [`encode`](Self::encode) copies
+    /// [`engine`](Self::engine) there; the daemon hands a closure that
+    /// snapshots the live engine straight into the buffer (and leaves
+    /// `engine` empty), so a checkpoint is encoded into one buffer.
+    pub(crate) fn encode_into(
+        &self,
+        out: &mut Vec<u8>,
+        engine: impl FnOnce(&mut Vec<u8>) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let mut writer = SnapshotWriter::new(out);
+        writer.section_with(SEC_STREAM_META, |meta| {
+            meta.push(KIND_STREAM);
+            put_string(meta, &self.name)?;
+            put_string(meta, &self.algo)?;
+            put_u64s(
+                meta,
+                &[
+                    self.seed,
+                    self.budget_words,
+                    self.window,
+                    self.replay_edges,
+                    self.ingest_batches,
+                ],
+            );
+            meta.extend_from_slice(&self.shards.to_le_bytes());
+            Ok(())
+        })?;
+        writer.section_with(SEC_ENGINE, engine)?;
+        writer.finish();
+        Ok(())
     }
 
     /// Parses a checkpoint container, validating structure and checksums.
     /// The nested engine bytes are *not* decoded here — the engine
     /// validates them itself when the stream is rebuilt.
     pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        let (mut cp, engine) = Self::decode_header(bytes)?;
+        cp.engine = bytes[engine].to_vec();
+        Ok(cp)
+    }
+
+    /// [`decode`](Self::decode) for a buffer the caller gives up: the
+    /// engine bytes are moved to the front of `bytes` and kept, instead
+    /// of being copied into a fresh allocation.
+    fn decode_owned(mut bytes: Vec<u8>) -> Result<Self, SnapshotError> {
+        let (mut cp, engine) = Self::decode_header(&bytes)?;
+        bytes.truncate(engine.end);
+        bytes.drain(..engine.start);
+        cp.engine = bytes;
+        Ok(cp)
+    }
+
+    /// Validates the container and decodes everything but the engine
+    /// bytes, returning the checkpoint with an empty `engine` and where
+    /// the engine section's payload lies in `bytes`.
+    fn decode_header(bytes: &[u8]) -> Result<(Self, Range<usize>), SnapshotError> {
         let reader = SnapshotReader::parse(bytes)?;
         let mut meta = reader.section(SEC_STREAM_META)?;
         let kind = meta.u8("checkpoint kind tag")?;
@@ -117,9 +164,10 @@ impl StreamCheckpoint {
         let ingest_batches = meta.u64("ingest batch count")?;
         let shards = meta.u16("shard count")?;
         meta.finish()?;
-        let mut engine_section = reader.section(SEC_ENGINE)?;
-        let engine = engine_section.rest().to_vec();
-        Ok(Self {
+        let engine_section = reader.section(SEC_ENGINE)?;
+        // Fits in usize: the offset indexes `bytes`.
+        let start = engine_section.offset() as usize;
+        let cp = Self {
             name,
             algo,
             seed,
@@ -128,8 +176,9 @@ impl StreamCheckpoint {
             window,
             replay_edges,
             ingest_batches,
-            engine,
-        })
+            engine: Vec::new(),
+        };
+        Ok((cp, start..start + engine_section.remaining()))
     }
 }
 
@@ -170,23 +219,35 @@ pub fn checkpoint_path(state_dir: &Path, stream: &str) -> PathBuf {
 }
 
 /// Writes a checkpoint atomically: encode, write to a `.tmp` sibling,
-/// rename over the final path. A crash at any point leaves either the old
-/// checkpoint or the new one — never a torn file — because rename within a
-/// directory is atomic on every platform the workspace targets.
+/// rename over the final path. A process crash at any point leaves either
+/// the old checkpoint or the new one — never a torn file — because rename
+/// within a directory is atomic on every platform the workspace targets.
+/// Nothing is fsynced, so a power loss can still lose the newest
+/// checkpoint (`docs/OPERATIONS.md`).
 pub fn write_checkpoint(state_dir: &Path, cp: &StreamCheckpoint) -> Result<PathBuf, SnapshotError> {
-    let bytes = cp.encode()?;
-    let path = checkpoint_path(state_dir, &cp.name);
+    write_checkpoint_bytes(state_dir, &cp.name, &cp.encode()?)
+}
+
+/// The atomic write behind [`write_checkpoint`], for bytes already encoded
+/// as `stream`'s checkpoint container. Two writers of one stream must not
+/// overlap — they share the `.tmp` sibling — so callers serialise per
+/// stream (the table's per-entry checkpoint lock).
+pub(crate) fn write_checkpoint_bytes(
+    state_dir: &Path,
+    stream: &str,
+    bytes: &[u8],
+) -> Result<PathBuf, SnapshotError> {
+    let path = checkpoint_path(state_dir, stream);
     let tmp = path.with_extension("tmp");
     fs::create_dir_all(state_dir)?;
-    fs::write(&tmp, &bytes)?;
+    fs::write(&tmp, bytes)?;
     fs::rename(&tmp, &path)?;
     Ok(path)
 }
 
 /// Reads and validates one checkpoint file.
 pub fn read_checkpoint(path: &Path) -> Result<StreamCheckpoint, SnapshotError> {
-    let bytes = fs::read(path)?;
-    StreamCheckpoint::decode(&bytes)
+    StreamCheckpoint::decode_owned(fs::read(path)?)
 }
 
 /// What a state-directory scan found: the checkpoints that validated, in

@@ -22,12 +22,14 @@
 //!   supervisor's stop command at `tristream-cli client shutdown` (std has
 //!   no portable signal handling; see `docs/OPERATIONS.md`).
 
-use crate::checkpoint::{scan_state_dir, write_checkpoint, StreamCheckpoint};
+use crate::checkpoint::{scan_state_dir, StreamCheckpoint};
 use crate::protocol::{
     transport_error, ErrorCode, Request, Response, WireError, MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
 };
-use crate::table::{checkpoint_stream, ingest_batch, query_stream, StreamEntry, StreamTable};
+use crate::table::{
+    encode_checkpoint, ingest_batch, persist_checkpoint, query_stream, StreamEntry, StreamTable,
+};
 use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -481,12 +483,9 @@ fn handle_request(
             match shared
                 .table
                 .require(&name)
-                .and_then(|entry| checkpoint_stream(&entry))
-                .and_then(|cp| {
-                    cp.encode()
-                        .map_err(|e| WireError::new(ErrorCode::BadSnapshot, e.to_string()))
-                }) {
-                Ok(bytes) => Response::SnapshotData(bytes),
+                .and_then(|entry| encode_checkpoint(&entry))
+            {
+                Ok((bytes, _)) => Response::SnapshotData(bytes),
                 Err(err) => Response::Error(err),
             },
             Flow::Continue,
@@ -501,9 +500,16 @@ fn handle_request(
                     shared.table.create_restored(&cp)?;
                     // A restored stream is immediately durable on a
                     // checkpointing server; failure to persist is logged,
-                    // not fatal — the stream itself is live.
+                    // not fatal — the stream itself is live. Persisting
+                    // takes the stream's checkpoint turn like any other
+                    // checkpoint, so an EDGES-triggered checkpoint racing
+                    // it can never be overwritten by older state.
                     if let Some(dir) = shared.state_dir.as_deref() {
-                        if let Err(e) = write_checkpoint(dir, &cp) {
+                        let persisted = shared
+                            .table
+                            .require(&cp.name)
+                            .and_then(|entry| persist_checkpoint(&entry, dir));
+                        if let Err(e) = persisted {
                             log_event(&format!(
                                 "failed to persist restored stream {:?}: {e}",
                                 cp.name
@@ -549,11 +555,7 @@ fn maybe_checkpoint(shared: &Shared, entry: &StreamEntry, batches: u64) {
     if !entry.snapshotable() || !batches.is_multiple_of(shared.checkpoint_interval) {
         return;
     }
-    let written = checkpoint_stream(entry).and_then(|cp| {
-        write_checkpoint(dir, &cp)
-            .map_err(|e| WireError::new(ErrorCode::BadSnapshot, e.to_string()))
-    });
-    if let Err(e) = written {
+    if let Err(e) = persist_checkpoint(entry, dir) {
         log_event(&format!(
             "failed to checkpoint stream {:?}: {e}",
             entry.name()

@@ -20,9 +20,10 @@
 //! engine's worker threads are joined when the last `Arc` drops (for a
 //! stream nobody else is touching, that is inside the `DELETE` handler).
 
-use crate::checkpoint::StreamCheckpoint;
+use crate::checkpoint::{write_checkpoint_bytes, StreamCheckpoint};
 use crate::metrics::LatencyCounter;
 use crate::protocol::{ErrorCode, StreamStats, WireError};
+use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 use tristream_baselines::registry::{find_algo, AlgoParams, StreamHint};
 use tristream_core::{ShardedEstimator, TriangleEstimator};
@@ -73,6 +74,10 @@ pub struct StreamEntry {
     /// snapshots (see `AlgoSpec::snapshotable`).
     snapshotable: bool,
     state: Mutex<StreamState>,
+    /// Serialises this stream's checkpoints from snapshot to rename, so
+    /// two connections feeding one stream never share the `.tmp` file
+    /// and the file on disk is always the newest checkpoint taken.
+    checkpoint: Mutex<()>,
 }
 
 impl std::fmt::Debug for StreamEntry {
@@ -115,6 +120,38 @@ impl StreamEntry {
         self.state
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Refuses streams whose algorithm cannot be checkpointed with
+    /// [`ErrorCode::SnapshotUnsupported`] — the typed honesty the registry
+    /// flag exists for.
+    fn require_snapshotable(&self) -> Result<(), WireError> {
+        if self.snapshotable {
+            return Ok(());
+        }
+        Err(WireError::new(
+            ErrorCode::SnapshotUnsupported,
+            format!(
+                "stream {:?} runs {:?}, which does not support snapshots",
+                self.name, self.algo
+            ),
+        ))
+    }
+
+    /// The checkpoint of this stream at the instant `state` was locked,
+    /// minus the engine bytes.
+    fn checkpoint_header(&self, state: &StreamState) -> StreamCheckpoint {
+        StreamCheckpoint {
+            name: self.name.clone(),
+            algo: self.algo.to_string(),
+            seed: self.seed,
+            budget_words: self.budget_words,
+            shards: self.shards,
+            window: self.window,
+            replay_edges: state.engine.edges_seen(),
+            ingest_batches: state.ingest.ops(),
+            engine: Vec::new(),
+        }
     }
 
     /// Per-stream counters for a STATS report. Synchronises the engine
@@ -252,6 +289,7 @@ impl StreamTable {
                 ingest: LatencyCounter::new(),
                 query: LatencyCounter::new(),
             }),
+            checkpoint: Mutex::new(()),
         });
         self.insert(entry)
     }
@@ -301,6 +339,7 @@ impl StreamTable {
                 ingest: LatencyCounter::with_ops(cp.ingest_batches),
                 query: LatencyCounter::new(),
             }),
+            checkpoint: Mutex::new(()),
         });
         self.insert(entry)
     }
@@ -407,32 +446,50 @@ pub fn query_stream(entry: &StreamEntry) -> (f64, u64, u64) {
 /// refused with [`ErrorCode::SnapshotUnsupported`] — the typed honesty the
 /// registry flag exists for.
 pub fn checkpoint_stream(entry: &StreamEntry) -> Result<StreamCheckpoint, WireError> {
-    if !entry.snapshotable() {
-        return Err(WireError::new(
-            ErrorCode::SnapshotUnsupported,
-            format!(
-                "stream {:?} runs {:?}, which does not support snapshots",
-                entry.name(),
-                entry.algo()
-            ),
-        ));
-    }
+    entry.require_snapshotable()?;
     let state = entry.lock();
-    let engine = state
-        .engine
-        .snapshot()
-        .map_err(|e| WireError::new(ErrorCode::SnapshotUnsupported, e.to_string()))?;
-    Ok(StreamCheckpoint {
-        name: entry.name.clone(),
-        algo: entry.algo.to_string(),
-        seed: entry.seed,
-        budget_words: entry.budget_words,
-        shards: entry.shards,
-        window: entry.window,
-        replay_edges: state.engine.edges_seen(),
-        ingest_batches: state.ingest.ops(),
-        engine,
-    })
+    let mut cp = entry.checkpoint_header(&state);
+    cp.engine = state.engine.snapshot().map_err(snapshot_error)?;
+    Ok(cp)
+}
+
+/// Encodes a stream's checkpoint container straight into one buffer: the
+/// engine snapshots itself in place inside the container's engine section
+/// (no intermediate per-level copies). Returns the bytes and the replay
+/// offset they record. Consistent at one instant, like
+/// [`checkpoint_stream`], and refused the same way for streams that are
+/// not snapshotable.
+pub(crate) fn encode_checkpoint(entry: &StreamEntry) -> Result<(Vec<u8>, u64), WireError> {
+    entry.require_snapshotable()?;
+    let state = entry.lock();
+    let header = entry.checkpoint_header(&state);
+    let mut out = Vec::new();
+    header
+        .encode_into(&mut out, |buf| state.engine.snapshot_into(buf))
+        .map_err(snapshot_error)?;
+    Ok((out, header.replay_edges))
+}
+
+/// Writes a stream's checkpoint to `state_dir` atomically and returns the
+/// replay offset it records. The entry's checkpoint lock is held from
+/// snapshot to rename, so concurrent callers for one stream (two
+/// connections crossing the cadence, a RESTORE persisting) take turns:
+/// the last one to write also took the newest snapshot. The stream lock
+/// itself is released before the file write, so ingest continues
+/// meanwhile.
+pub(crate) fn persist_checkpoint(entry: &StreamEntry, state_dir: &Path) -> Result<u64, WireError> {
+    let _turn = entry
+        .checkpoint
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (bytes, replay_edges) = encode_checkpoint(entry)?;
+    write_checkpoint_bytes(state_dir, entry.name(), &bytes)
+        .map_err(|e| WireError::new(ErrorCode::BadSnapshot, e.to_string()))?;
+    Ok(replay_edges)
+}
+
+fn snapshot_error(e: tristream_graph::snapshot::SnapshotError) -> WireError {
+    WireError::new(ErrorCode::SnapshotUnsupported, e.to_string())
 }
 
 #[cfg(test)]
@@ -442,6 +499,75 @@ mod tests {
 
     fn batch(n: u64) -> Vec<Edge> {
         (0..n).map(|i| Edge::new(i, i + 1)).collect()
+    }
+
+    #[test]
+    fn concurrent_checkpoints_of_one_stream_leave_the_newest_on_disk() {
+        use crate::checkpoint::{checkpoint_path, read_checkpoint};
+        let dir = std::env::temp_dir().join(format!("tristream-table-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let table = StreamTable::new();
+        table
+            .create("s", "neighborhood-bulk", 5, 1 << 12, 2, 0)
+            .unwrap();
+        let entry = table.require("s").unwrap();
+        let (threads, rounds, frame) = (4u64, 12u64, 50u64);
+        let start = std::sync::Barrier::new(threads as usize);
+        // Each thread feeds its own vertex range and checkpoints after
+        // every frame. The stream is small, so encoding (under the stream
+        // lock) is short next to the file write and the writes of one
+        // stream overlap constantly.
+        let results: Vec<(u64, Vec<String>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (entry, dir, start) = (&entry, &dir, &start);
+                    scope.spawn(move || {
+                        // Failures are collected, not asserted here: a
+                        // panicking thread would strand its peers at the
+                        // barrier.
+                        let (mut newest, mut failures) = (0, Vec::new());
+                        for round in 0..rounds {
+                            // Every round starts together, so the threads'
+                            // checkpoints contend for the stream each time.
+                            start.wait();
+                            let base = (t * rounds + round) * (frame + 1);
+                            let edges: Vec<Edge> =
+                                (base..base + frame).map(|v| Edge::new(v, v + 1)).collect();
+                            ingest_batch(entry, &edges);
+                            let mine = match persist_checkpoint(entry, dir) {
+                                Ok(mine) => mine,
+                                Err(e) => {
+                                    failures.push(format!("checkpoint failed: {e}"));
+                                    continue;
+                                }
+                            };
+                            newest = newest.max(mine);
+                            // Whatever is on disk now is complete, and it
+                            // is this checkpoint or a newer one.
+                            match read_checkpoint(&checkpoint_path(dir, "s")) {
+                                Ok(cp) if cp.replay_edges >= mine => {}
+                                Ok(cp) => failures.push(format!(
+                                    "checkpoint at {} edges landed after one at {mine}",
+                                    cp.replay_edges
+                                )),
+                                Err(e) => failures.push(format!("unreadable checkpoint: {e}")),
+                            }
+                        }
+                        (newest, failures)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let failures: Vec<&String> = results.iter().flat_map(|(_, f)| f).collect();
+        assert!(failures.is_empty(), "{failures:?}");
+        let newest = results.iter().map(|&(newest, _)| newest).max();
+        // The last checkpoint to run followed every ingest.
+        assert_eq!(newest, Some(threads * rounds * frame));
+        let on_disk = read_checkpoint(&checkpoint_path(&dir, "s")).unwrap();
+        assert_eq!(Some(on_disk.replay_edges), newest);
+        StreamTable::new().create_restored(&on_disk).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,9 +13,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tristream_baselines::registry::{find_algo, AlgoParams};
 use tristream_core::{ShardedEstimator, TriangleEstimator};
+use tristream_graph::snapshot::{fnv1a, SnapshotReader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION_V1};
 use tristream_graph::Edge;
+use tristream_serve::checkpoint::checkpoint_path;
 use tristream_serve::protocol::{ErrorCode, FrameType, Request};
-use tristream_serve::{Client, CreateStream, Server, ServerOptions, SERVE_STREAM_HINT};
+use tristream_serve::{
+    Client, CreateStream, Server, ServerOptions, StreamCheckpoint, SERVE_STREAM_HINT,
+};
 
 /// A fresh, uniquely named state directory for one test.
 fn state_dir(tag: &str) -> PathBuf {
@@ -148,6 +152,88 @@ fn a_killed_server_recovers_from_its_checkpoint_and_matches_the_uninterrupted_ru
 
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Re-encodes a container as format version 1 — FNV-1a section checksums,
+/// as builds before version 2 wrote it — nested containers included.
+fn as_version_1(bytes: &[u8]) -> Vec<u8> {
+    let reader = SnapshotReader::parse(bytes).expect("valid container");
+    let mut out = SNAPSHOT_MAGIC.to_vec();
+    out.extend_from_slice(&SNAPSHOT_VERSION_V1.to_le_bytes());
+    out.extend_from_slice(&(reader.len() as u16).to_le_bytes());
+    for (id, payload) in reader.iter() {
+        let payload = match SnapshotReader::parse(payload) {
+            Ok(_) => as_version_1(payload),
+            Err(_) => payload.to_vec(),
+        };
+        out.extend_from_slice(&id.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn version_1_checkpoints_restore_and_recover_bit_identically() {
+    let edges = test_edges();
+    let (algo, seed, shards, batch, cut) = ("neighborhood-bulk", 17u64, 2u16, 64usize, 8 * 64);
+    let budget = CreateStream::new("old", algo).budget_words;
+    let mut original = offline_engine(algo, seed, budget, shards as usize);
+    for chunk in edges[..cut].chunks(batch) {
+        original.process_batch(chunk);
+    }
+    let engine_v1 = as_version_1(&original.snapshot().expect("snapshot"));
+    assert_eq!(engine_v1[4..6], SNAPSHOT_VERSION_V1.to_le_bytes());
+    for chunk in edges[cut..].chunks(batch) {
+        original.process_batch(chunk);
+    }
+    let uninterrupted = original.estimate().to_bits();
+
+    // Through `restore`, into an engine built with a different seed.
+    let mut restored = offline_engine(algo, seed + 1, budget, shards as usize);
+    restored.restore(&engine_v1).expect("v1 restore");
+    for chunk in edges[cut..].chunks(batch) {
+        restored.process_batch(chunk);
+    }
+    assert_eq!(restored.estimate().to_bits(), uninterrupted);
+
+    // Through `--state-dir` recovery of a v1 stream checkpoint file.
+    let dir = state_dir("v1");
+    std::fs::create_dir_all(&dir).expect("state dir");
+    let cp = StreamCheckpoint {
+        name: "old".to_string(),
+        algo: algo.to_string(),
+        seed,
+        budget_words: budget,
+        shards,
+        window: 0,
+        replay_edges: cut as u64,
+        ingest_batches: (cut / batch) as u64,
+        engine: engine_v1,
+    };
+    let path = checkpoint_path(&dir, "old");
+    std::fs::write(&path, as_version_1(&cp.encode().expect("encode"))).expect("write v1");
+    let (addr, recovered, skipped, server) = spawn_server_with(ServerOptions {
+        state_dir: Some(dir.clone()),
+        checkpoint_interval: 4,
+        ..ServerOptions::default()
+    });
+    assert_eq!(recovered, vec!["old".to_string()]);
+    assert!(skipped.is_empty());
+    let mut client = Client::connect(addr).expect("connect");
+    client
+        .send_edges_batched("old", &edges[cut..], batch)
+        .expect("replay tail");
+    let served = client.query("old").expect("query");
+    assert_eq!(served.edges, edges.len() as u64);
+    assert_eq!(served.estimate.to_bits(), uninterrupted);
+    client.shutdown().expect("shutdown");
+    server.join().expect("join").expect("server run");
+    // The checkpoints taken since replaced the v1 file with a v2 one.
+    let rewritten = std::fs::read(&path).expect("checkpoint");
+    assert_eq!(rewritten[4..6], 2u16.to_le_bytes());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -299,3 +299,44 @@ fn snapshot_size_is_proportional_to_memory_words() {
         fixed_overhead
     );
 }
+
+#[test]
+fn snapshot_into_appends_after_existing_bytes() {
+    let edges: Vec<Edge> = (0..30u64)
+        .flat_map(|i| [Edge::new(i, i + 1), Edge::new(i, i + 2)])
+        .collect();
+    let mut bulk = BulkTriangleCounter::new(40, 11);
+    bulk.process_batch(&edges);
+    let mut sharded = ShardedEstimator::from_factory(2, 11, |s| BulkTriangleCounter::new(20, s));
+    sharded.process_batch(&edges);
+    let estimators: [&dyn TriangleEstimator; 2] = [&bulk, &sharded];
+    for estimator in estimators {
+        let mut out = b"prefix".to_vec();
+        estimator.snapshot_into(&mut out).expect("snapshot_into");
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(out[6..], estimator.snapshot().expect("snapshot")[..]);
+    }
+}
+
+#[test]
+fn a_failed_snapshot_into_leaves_the_buffer_as_it_was() {
+    // Shard 0 snapshots fine and is written before shard 1 refuses, so
+    // the rollback has a whole nested container to undo.
+    let mixed: ShardedEstimator<Box<dyn TriangleEstimator + Send>> =
+        ShardedEstimator::from_factory(2, 3, |seed| -> Box<dyn TriangleEstimator + Send> {
+            if seed == shard_seed(3, 0) {
+                Box::new(BulkTriangleCounter::new(16, seed))
+            } else {
+                Box::new(TriangleCounter::new(16, seed))
+            }
+        });
+    let mut out = b"prefix".to_vec();
+    assert!(matches!(
+        mixed.snapshot_into(&mut out),
+        Err(SnapshotError::Unsupported { .. })
+    ));
+    assert_eq!(out, b"prefix");
+    let mut out = b"prefix".to_vec();
+    assert!(TriangleCounter::new(8, 1).snapshot_into(&mut out).is_err());
+    assert_eq!(out, b"prefix");
+}
