@@ -18,8 +18,9 @@
 //!    whether to keep the current `r₂` or subscribe to the EVENT_B that will
 //!    produce the new one (Algorithm 3), and a second pass resolves those
 //!    subscriptions to concrete edges.
-//! 3. **Wedge closing** — a hash table keyed by the (unique) edge that would
-//!    close each estimator's wedge is consulted while scanning the batch.
+//! 3. **Wedge closing** — the batch's edges are indexed by endpoints, and
+//!    each estimator still awaiting a closer probes the index once for the
+//!    (unique) edge that would close its wedge.
 //!
 //! The result is *distributionally identical* to one-at-a-time processing:
 //! every estimator ends the batch with `r₁` uniform over the whole stream,
@@ -40,15 +41,22 @@
 //!   through contiguous columns, and Step 3's "who still awaits a closer"
 //!   scan is a `r2_set & !closer_set` bitset word walk;
 //! * all per-batch scratch (the replaced-estimator list, β columns, the
-//!   batch-degree table, EVENT_B subscriptions and the closing-edge index)
+//!   batch-degree table, EVENT_B subscriptions and the batch-edge index)
 //!   lives in a reusable `BatchScratch` that is **cleared, not
 //!   reallocated**, between batches — the steady state performs zero heap
 //!   allocations per batch (pinned by `tests/alloc_steady_state.rs`);
-//! * the degree/subscription/closing tables are [`FastMap`]s — deterministic
-//!   open addressing over packed `(u64, u64)` keys with a multiply-shift
-//!   hash seeded from the counter's construction seed, so runs stay
-//!   reproducible; multi-subscriber events chain through per-estimator
-//!   `next` columns instead of per-key `Vec`s;
+//! * the degree/subscription/batch-edge tables are [`FastMap`]s —
+//!   deterministic open addressing over packed `(u64, u64)` keys with a
+//!   multiply-shift hash seeded from the counter's construction seed, so
+//!   runs stay reproducible; multi-subscriber events chain through the
+//!   per-estimator `sub_next` column, and repeated batch edges through the
+//!   per-edge `edge_next` column, instead of per-key `Vec`s;
+//! * Step 3 is a join from the estimators to the batch, not from the batch
+//!   to the estimators: the `O(w)` batch-edge index is built once, and the
+//!   `r2_set & !closer_set` word walk computes each open wedge's closing
+//!   pair with selects instead of branches and probes the index once. The
+//!   probe misses in the index's filter for most wedges, so the `O(r)`
+//!   sweep has almost no data-dependent branches;
 //! * RNG draws go through the [`BufferedRng`] — one buffer refill per
 //!   couple hundred draws, consumed strictly in order.
 //!
@@ -114,13 +122,15 @@ struct BatchScratch {
     /// passes.
     deg: FastMap<u64>,
     /// EVENT_B subscriptions: `(vertex, target degree)` → chain head, with
-    /// the chain threaded through `sub_next`.
+    /// the chain threaded through `sub_next`. A key names one endpoint
+    /// occurrence in the batch, so at most `min(r, 2w)` keys exist.
     subs: FastMap<u32>,
     sub_next: Vec<u32>,
-    /// Closing-edge index: packed `(u, v)` → chain head, threaded through
-    /// `wait_next`.
-    waiting: FastMap<u32>,
-    wait_next: Vec<u32>,
+    /// Batch-edge index: packed `(u, v)` → first batch index of that edge,
+    /// with later occurrences chained in ascending order through
+    /// `edge_next`.
+    edges: FastMap<u32>,
+    edge_next: Vec<u32>,
 }
 
 impl BatchScratch {
@@ -128,12 +138,6 @@ impl BatchScratch {
     /// from `hash_seed` (itself derived from the counter's seed — see
     /// [`BulkTriangleCounter::with_aggregation`]).
     fn new(r: usize, hash_seed: u64) -> Self {
-        let mut subs = FastMap::with_seed(hash_seed ^ 0x5B5B);
-        let mut waiting = FastMap::with_seed(hash_seed ^ 0xC7C7);
-        // Both tables hold at most one entry per estimator; reserving the
-        // bound up front means no growth can happen mid-batch.
-        subs.reserve(r);
-        waiting.reserve(r);
         Self {
             replaced: Vec::with_capacity(r),
             beta_u: vec![0; r],
@@ -141,16 +145,17 @@ impl BatchScratch {
             edge_du: Vec::new(),
             edge_dv: Vec::new(),
             deg: FastMap::with_seed(hash_seed),
-            subs,
+            subs: FastMap::with_seed(hash_seed ^ 0x5B5B),
             sub_next: vec![0; r],
-            waiting,
-            wait_next: vec![0; r],
+            edges: FastMap::with_seed(hash_seed ^ 0xC7C7),
+            edge_next: Vec::new(),
         }
     }
 
     /// Readies the scratch for a batch of `w` edges: clears the maps
-    /// (`O(1)` generation bumps) and makes sure the degree table can absorb
-    /// `2w` endpoints without growing mid-batch.
+    /// (`O(1)` generation bumps) and reserves each to its bound for the
+    /// batch — `2w` endpoints, `min(r, 2w)` subscriptions, `w` edges — so
+    /// none grows mid-batch.
     fn prepare(&mut self, w: usize) {
         self.replaced.clear();
         self.deg.clear();
@@ -158,7 +163,10 @@ impl BatchScratch {
         self.edge_du.resize(w, 0);
         self.edge_dv.resize(w, 0);
         self.subs.clear();
-        self.waiting.clear();
+        self.subs.reserve(self.sub_next.len().min(2 * w));
+        self.edges.clear();
+        self.edges.reserve(w);
+        self.edge_next.resize(w, 0);
     }
 }
 
@@ -295,23 +303,39 @@ fn step2c_edge(
     }
 }
 
-/// The Step-3 chain walk: `head` is the `waiting` chain of estimators
-/// whose wedge `batch[i]` closes.
+/// The Step-3 body for one open wedge: estimator `idx` computes the pair
+/// that closes its wedge, probes the batch-edge index once, and takes the
+/// first occurrence past its level-2 edge. The pair comes from selects on
+/// the endpoint columns — `(a, b) = r₁`, `(c, d) = r₂` — and matches
+/// [`Edge::shared_vertex`]: equal or non-adjacent edges probe nothing.
 #[inline]
-fn close_wedges(
+fn close_wedge(
     pool: &mut EstimatorPool,
     scratch: &BatchScratch,
-    e: &Edge,
-    position: u64,
-    head: u32,
+    batch: &[Edge],
+    m: u64,
+    idx: usize,
 ) {
-    let mut cursor = head;
-    while cursor != CHAIN_END {
-        let est = cursor as usize;
-        if !pool.closer_set.get(est) && position > pool.r2_pos[est] {
-            pool.take_closer(est, *e, position);
+    let (a, b) = (pool.r1_u[idx], pool.r1_v[idx]);
+    let (c, d) = (pool.r2_u[idx], pool.r2_v[idx]);
+    let a_shared = (a == c) | (a == d);
+    let adjacent = a_shared | (b == c) | (b == d);
+    let distinct = (a != c) | (b != d);
+    let p = if a_shared { b } else { a };
+    let q = if (c == a) | (c == b) { d } else { c };
+    if !(adjacent & distinct & (p != q)) {
+        return;
+    }
+    let Some(mut i) = scratch.edges.get((p.min(q), p.max(q))) else {
+        return;
+    };
+    while i != CHAIN_END {
+        let position = m + u64::from(i) + 1;
+        if position > pool.r2_pos[idx] {
+            pool.take_closer(idx, batch[i as usize], position);
+            return;
         }
-        cursor = scratch.wait_next[est];
+        i = scratch.edge_next[i as usize];
     }
 }
 
@@ -385,20 +409,6 @@ fn hash_sub_group(
     let su = scratch.subs.probe_start4(us, dus);
     let sv = scratch.subs.probe_start4(vs, dvs);
     (su, sv)
-}
-
-/// Probe starts for the closing-edge lookups of the edge lane group
-/// starting at `base` (Step 3). Edge endpoints are stored normalised
-/// (`u < v`), matching the `(min, max)` keys the wedge scan inserts.
-#[inline]
-fn hash_pair_group(waiting: &FastMap<u32>, batch: &[Edge], base: usize) -> [usize; LANES] {
-    let mut us = [0u64; LANES];
-    let mut vs = [0u64; LANES];
-    for (lane, e) in batch[base..base + LANES].iter().enumerate() {
-        us[lane] = e.u().raw();
-        vs[lane] = e.v().raw();
-    }
-    waiting.probe_start4(us, vs)
 }
 // analyze: endregion
 
@@ -480,7 +490,11 @@ impl BulkTriangleCounter {
     /// 80 bytes + 3 bits because it keeps full endpoints and positions for
     /// the sampler and the test invariants. Per-batch scratch is working
     /// memory of the batch, not sketch state, and is excluded (the same
-    /// exclusion the pre-pool counter applied to its transient maps).
+    /// exclusion the pre-pool counter applied to its transient maps). The
+    /// excluded scratch is `O(r)` — the two β columns, the `sub_next`
+    /// column and the Step-1 replaced list — plus `O(w)`: the degree,
+    /// subscription (at most `min(r, 2w)` keys) and batch-edge tables and
+    /// their per-edge columns.
     pub fn estimator_memory_bytes(&self) -> usize {
         self.pool.resident_bytes()
     }
@@ -537,7 +551,7 @@ impl BulkTriangleCounter {
     /// them (and so in the order of
     /// [`crate::reference::ReferenceBulkCounter`]), Step-1 presence bits
     /// are written as whole-word masks, and every [`FastMap`] access in the
-    /// edge scans probes from a start index hashed one lane group ahead
+    /// Step-2 scans probes from a start index hashed one lane group ahead
     /// and prefetched.
     ///
     /// Allocation-free in the steady state: all working memory comes from
@@ -789,68 +803,21 @@ impl BulkTriangleCounter {
         }
 
         // ---- Step 3: find wedge-closing edges within the batch. -----------
-        // Candidates are exactly the estimators with a wedge but no closer:
-        // one `r2_set & !closer_set` word per 64 estimators, skipping empty
-        // words outright.
-        let mut waiting_count = 0usize;
+        // Index the batch's edges, inserting in reverse batch order so each
+        // chain runs in ascending order from the first occurrence. Then the
+        // estimators with a wedge but no closer — one `r2_set & !closer_set`
+        // word per 64 estimators, skipping empty words outright — each
+        // probe the index once.
+        for (i, e) in batch.iter().enumerate().rev() {
+            let key = (e.u().raw(), e.v().raw());
+            scratch.edge_next[i] = scratch.edges.insert(key, i as u32).unwrap_or(CHAIN_END);
+        }
         for word_idx in 0..pool.r2_set.words().len() {
             let mut bits = pool.r2_set.words()[word_idx] & !pool.closer_set.words()[word_idx];
             while bits != 0 {
                 let idx = word_idx * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let r1 = Edge::new(pool.r1_u[idx], pool.r1_v[idx]);
-                let r2 = Edge::new(pool.r2_u[idx], pool.r2_v[idx]);
-                if let Some(shared) = r1.shared_vertex(&r2) {
-                    // Both lookups are infallible — `Edge::new` rejects
-                    // self-loops, so `shared` always has a distinct partner —
-                    // but the hot path must not carry a panic edge.
-                    let (Some(p), Some(q)) = (r1.other_endpoint(shared), r2.other_endpoint(shared))
-                    else {
-                        debug_assert!(false, "edges always have two distinct endpoints");
-                        continue;
-                    };
-                    if p != q {
-                        let key = (p.raw().min(q.raw()), p.raw().max(q.raw()));
-                        let head = scratch.waiting.insert(key, idx as u32).unwrap_or(CHAIN_END);
-                        scratch.wait_next[idx] = head;
-                        waiting_count += 1;
-                    }
-                }
-            }
-        }
-        if waiting_count > 0 {
-            let full = w - w % LANES;
-            let mut base = 0usize;
-            let mut starts = if full > 0 {
-                hash_pair_group(&scratch.waiting, batch, 0)
-            } else {
-                [0; LANES]
-            };
-            while base < full {
-                let next = if base + LANES < full {
-                    Some(hash_pair_group(&scratch.waiting, batch, base + LANES))
-                } else {
-                    None
-                };
-                for (lane, &start) in starts.iter().enumerate() {
-                    let i = base + lane;
-                    let e = &batch[i];
-                    let position = m + i as u64 + 1;
-                    if let Some(head) = scratch.waiting.get_from(start, (e.u().raw(), e.v().raw()))
-                    {
-                        close_wedges(pool, scratch, e, position, head);
-                    }
-                }
-                if let Some(n) = next {
-                    starts = n;
-                }
-                base += LANES;
-            }
-            for (i, e) in batch.iter().enumerate().skip(full) {
-                let position = m + i as u64 + 1;
-                if let Some(head) = scratch.waiting.get((e.u().raw(), e.v().raw())) {
-                    close_wedges(pool, scratch, e, position, head);
-                }
+                close_wedge(pool, scratch, batch, m, idx);
             }
         }
 
@@ -886,22 +853,27 @@ impl BulkTriangleCounter {
 
     /// Debug-build invariant sweep: [`EstimatorPool::validate`] over the
     /// pool, plus the scratch-side invariants the batch pipeline relies on —
-    /// the waiting table stays at ≤ 50 % load (what keeps its open-addressed
-    /// probes terminating and O(1)) and the wait-chain column spans the
-    /// pool. Returns `true`; compiles to a no-op in release builds.
+    /// the batch-edge table stays at ≤ 50 % load (what keeps its
+    /// open-addressed probes terminating and O(1)) and the `edge_next`
+    /// column spans the last batch. Returns `true`; compiles to a no-op in
+    /// release builds.
     #[must_use]
     pub fn validate(&self) -> bool {
         let _ = self.pool.validate();
+        let scratch = &self.scratch;
         debug_assert!(
-            2 * self.scratch.waiting.len() <= self.scratch.waiting.capacity(),
-            "waiting table over 50% load: {} of {} slots",
-            self.scratch.waiting.len(),
-            self.scratch.waiting.capacity()
+            2 * scratch.edges.len() <= scratch.edges.capacity(),
+            "batch-edge table over 50% load: {} of {} slots",
+            scratch.edges.len(),
+            scratch.edges.capacity()
         );
-        debug_assert_eq!(
-            self.scratch.wait_next.len(),
-            self.pool.len(),
-            "wait-chain column must span the pool"
+        debug_assert!(
+            scratch.edge_next.len() == scratch.edge_du.len()
+                && scratch
+                    .edges
+                    .iter()
+                    .all(|(_, head)| (head as usize) < scratch.edge_next.len()),
+            "edge-chain column must span the last batch"
         );
         true
     }
@@ -1096,7 +1068,9 @@ impl crate::traits::TriangleEstimator for BulkTriangleCounter {
     }
 
     /// The pool columns and presence bitsets; the `O(r + w)` per-batch
-    /// scratch is working memory of the batch and therefore excluded by the
+    /// scratch (see
+    /// [`estimator_memory_bytes`](BulkTriangleCounter::estimator_memory_bytes))
+    /// is working memory of the batch and therefore excluded by the
     /// convention, exactly as the pre-pool counter excluded its transient
     /// maps.
     fn memory_words(&self) -> usize {
@@ -1328,6 +1302,26 @@ mod tests {
                     "{strategy:?}, w = {batch_size}"
                 );
             }
+        }
+        // One batch in which the closing edge (2, 3) of the wedge
+        // (1, 2)–(1, 3) occurs once before r₂ and twice after it: an
+        // estimator holding that wedge must close it at position 4, the
+        // first occurrence past r₂.
+        let batch = [(1u64, 2u64), (2, 3), (1, 3), (2, 3), (2, 3)].map(|(a, b)| Edge::new(a, b));
+        for strategy in [Level1Strategy::PerEstimator, Level1Strategy::GeometricSkip] {
+            let mut pooled = BulkTriangleCounter::new(192, 17).with_level1_strategy(strategy);
+            let mut reference = ReferenceBulkCounter::new(192, 17).with_level1_strategy(strategy);
+            pooled.process_batch(&batch);
+            reference.process_batch(&batch);
+            let states = pooled.estimators();
+            assert_eq!(states, reference.estimators(), "{strategy:?}");
+            assert!(
+                states
+                    .iter()
+                    .any(|s| s.r2.is_some_and(|r2| r2.position == 3)
+                        && s.closer.is_some_and(|c| c.position == 4)),
+                "{strategy:?}: no estimator closed after a repeated closing edge"
+            );
         }
     }
 

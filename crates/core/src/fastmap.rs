@@ -18,6 +18,11 @@
 //!   maps only ever hold trusted intermediate state.
 //! * **Open addressing with linear probing** at ≤ 50 % load — one cache
 //!   line per probe in the common case, no per-entry boxes.
+//! * **A probe-start filter with four bits per slot** — the hash ranges
+//!   over `4 × capacity`, its bit is set on insert, and the probe starts
+//!   at slot `hash >> 2`. At ≤ 50 % load at most 1/8 of the bits are set,
+//!   so most misses resolve with one predictable bit test in a bitmap
+//!   about 1/50 the size of the slot array.
 //! * **Generation-stamped slots** — [`FastMap::clear`] is `O(1)` (a
 //!   generation bump), so per-batch scratch maps are *cleared, not
 //!   reallocated*, which is what makes the bulk pipeline allocation-free
@@ -56,10 +61,11 @@ pub struct FastMap<V> {
     len: usize,
     /// Mixed into the hash; derived once from the owner's seed.
     seed: u64,
-    /// One bit per slot: set when some live key's probe *start* (its hash)
-    /// is that index. A clear bit proves the probed key absent without
-    /// touching the slot array — for the miss-heavy per-batch scans this
-    /// turns a random ~32-byte slot load into an L1-resident bitmap test.
+    /// Four bits per slot, indexed by the hash (which ranges over
+    /// `4 × capacity`): bit `h` is set when some live key hashes to `h`. A
+    /// clear bit proves the probed key absent without touching the slot
+    /// array — for the miss-heavy per-batch scans this turns a random slot
+    /// load into a bitmap test that is clear for at least 7 of 8 misses.
     /// Rebuilt on growth, zeroed by [`FastMap::clear`].
     start_bits: Vec<u64>,
 }
@@ -95,8 +101,8 @@ impl<V: Copy + Default> FastMap<V> {
     }
 
     /// Removes every entry by bumping the generation stamp (no slot is
-    /// touched; only the probe-start filter — one bit per slot — is
-    /// zeroed, so clearing costs `capacity / 512` bytes of sequential
+    /// touched; only the probe-start filter — four bits per slot — is
+    /// zeroed, so clearing costs `capacity / 2` bytes of sequential
     /// writes). The backing storage is retained, which is the whole point:
     /// per-batch maps are cleared, never reallocated.
     pub fn clear(&mut self) {
@@ -115,13 +121,14 @@ impl<V: Copy + Default> FastMap<V> {
     }
 
     /// Multiply-shift hash of a packed key, folded so both halves of the
-    /// product influence the table index.
+    /// product influence it: the probe-filter index in `0..4 × capacity`.
+    /// The probe starts at slot `hash >> 2`.
     #[inline]
     fn hash(&self, k0: u64, k1: u64) -> usize {
         let a = (k0 ^ self.seed).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let b = (k1 ^ self.seed.rotate_left(31)).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
         let h = a ^ b.rotate_left(29);
-        ((h ^ (h >> 32)) as usize) & self.mask
+        ((h ^ (h >> 32)) as usize) & (self.mask << 2 | 3)
     }
 
     /// Ensures the table can hold `extra` more entries at ≤ 50 % load
@@ -149,7 +156,7 @@ impl<V: Copy + Default> FastMap<V> {
         );
         let old_gen = self.live_gen;
         self.start_bits.clear();
-        self.start_bits.resize(new_cap.div_ceil(64), 0);
+        self.start_bits.resize((4 * new_cap).div_ceil(64), 0);
         self.mask = new_cap - 1;
         self.live_gen = 1;
         let live = self.len;
@@ -168,12 +175,12 @@ impl<V: Copy + Default> FastMap<V> {
     // analyze: region(no-alloc)
 
     /// Index of the slot holding `key`, or of the empty slot where it would
-    /// be inserted, probing from a precomputed start index (`start` must
-    /// equal `hash(k0, k1)` for the current table size). The table is never
-    /// full (≤ 50 % load), so the probe always terminates.
+    /// be inserted, probing from the slot of a precomputed filter index
+    /// (`start` must equal `hash(k0, k1)` for the current table size). The
+    /// table is never full (≤ 50 % load), so the probe always terminates.
     #[inline]
     fn probe_from(&self, start: usize, k0: u64, k1: u64) -> (bool, usize) {
-        let mut idx = start;
+        let mut idx = start >> 2;
         loop {
             let slot = &self.slots[idx];
             if slot.gen != self.live_gen {
@@ -186,7 +193,7 @@ impl<V: Copy + Default> FastMap<V> {
         }
     }
 
-    /// Whether some live key whose probe start is `start` has been
+    /// Whether some live key hashing to filter index `start` has been
     /// inserted since the last clear/growth. A `false` answer proves a key
     /// hashing to `start` absent; `true` only means the probe must walk.
     #[inline]
@@ -200,7 +207,7 @@ impl<V: Copy + Default> FastMap<V> {
         self.start_bits[start >> 6] |= 1u64 << (start & 63);
     }
 
-    /// The probe start (multiply-shift hash) over a lane group: evaluated
+    /// The filter index (multiply-shift hash) over a lane group: evaluated
     /// for [`LANES`] keys at once, giving the backend a branch-free run of
     /// independent multiplies to schedule. Exposed crate-privately so the
     /// bulk lane kernels can compute a group of probe starts ahead of use
@@ -216,14 +223,15 @@ impl<V: Copy + Default> FastMap<V> {
         out
     }
 
-    /// Prefetches the cache line of slot `idx` (no-op off x86-64). Purely a
-    /// scheduling hint — see [`crate::lanes::prefetch_read`].
+    /// Prefetches the cache line of the probe-start slot of filter index
+    /// `start` (no-op off x86-64). Purely a scheduling hint — see
+    /// [`crate::lanes::prefetch_read`].
     #[inline]
-    pub(crate) fn prefetch_slot(&self, idx: usize) {
-        crate::lanes::prefetch_read(&self.slots, idx);
+    pub(crate) fn prefetch_slot(&self, start: usize) {
+        crate::lanes::prefetch_read(&self.slots, start >> 2);
     }
 
-    /// [`get`](Self::get) with a precomputed probe start — `start` must be
+    /// [`get`](Self::get) with a precomputed filter index — `start` must be
     /// the multiply-shift hash of `key` for the current table size
     /// (debug-asserted), as produced by [`probe_start4`](Self::probe_start4).
     #[inline]
@@ -240,7 +248,7 @@ impl<V: Copy + Default> FastMap<V> {
     }
 
     /// [`get_mut_or_insert`](Self::get_mut_or_insert) with a precomputed
-    /// probe start. Behaviour is identical — including the growth check —
+    /// filter index. Behaviour is identical — including the growth check —
     /// except the hash is only recomputed on the cold growth path, where
     /// precomputed starts go stale.
     #[inline]
@@ -566,6 +574,38 @@ mod tests {
         lhs.sort_unstable();
         rhs.sort_unstable();
         assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn filter_stays_sparse_at_half_load() {
+        let mut map = FastMap::with_seed(13);
+        map.reserve(4_096);
+        let keys: Vec<(u64, u64)> = (0..map.capacity() as u64 / 2)
+            .map(|i| (i * 0x9E37, i ^ 0x55))
+            .collect();
+        for (i, &key) in keys.iter().enumerate() {
+            map.insert(key, i as u32);
+        }
+        assert_eq!(2 * map.len(), map.capacity(), "filled to 50 % load");
+        let filter_bits = 64 * map.start_bits.len();
+        let set: usize = map.start_bits.iter().map(|w| w.count_ones() as usize).sum();
+        assert_eq!(filter_bits, 4 * map.capacity(), "four filter bits per slot");
+        assert!(
+            8 * set <= filter_bits,
+            "{set} of {filter_bits} filter bits set"
+        );
+        for (group, chunk) in keys.chunks(LANES).enumerate() {
+            let mut k0 = [0u64; LANES];
+            let mut k1 = [0u64; LANES];
+            for (lane, key) in chunk.iter().enumerate() {
+                (k0[lane], k1[lane]) = *key;
+            }
+            let starts = map.probe_start4(k0, k1);
+            for (lane, &key) in chunk.iter().enumerate() {
+                let expected = (group * LANES + lane) as u32;
+                assert_eq!(map.get_from(starts[lane], key), Some(expected), "{key:?}");
+            }
+        }
     }
 
     #[test]

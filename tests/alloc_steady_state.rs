@@ -71,8 +71,8 @@ fn bulk_batches_do_not_allocate_in_the_steady_state() {
     for strategy in [Level1Strategy::PerEstimator, Level1Strategy::GeometricSkip] {
         let mut counter = BulkTriangleCounter::new(256, 7).with_level1_strategy(strategy);
         // Warm-up: the first pass over the batches grows the scratch (the
-        // degree table to the batch's vertex count, the subscription and
-        // closing-edge tables to their r-bounded capacity).
+        // degree, subscription and batch-edge tables and the per-edge
+        // columns to their batch-size bounds).
         for batch in &batches {
             counter.process_batch(batch);
         }
