@@ -19,7 +19,7 @@
 //! vertices are discovered as edges arrive, so the third vertex is
 //! maintained as a uniform reservoir sample over the vertices *discovered so
 //! far*. This preserves the algorithm's character (blind third vertex) and
-//! its failure mode; the deviation is recorded in DESIGN.md.
+//! its failure mode.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -1,5 +1,6 @@
 //! Experiment harness for reproducing every table and figure of the paper's
-//! evaluation (§4), plus Criterion micro-benchmarks and ablations.
+//! evaluation (§4), plus the named-workload suite behind
+//! `tristream-cli bench` ([`suite`]).
 //!
 //! Each table/figure has a dedicated binary (`table1`, `table2`, `table3`,
 //! `figure3`, `figure4`, `figure5`, `figure6`; `run_all` chains them). Every
@@ -26,7 +27,7 @@ pub use report::{
     write_csv, BenchReport, ExperimentTable, WorkloadKind, WorkloadResult, BENCH_SCHEMA_VERSION,
 };
 pub use suite::{run_suite, BenchConfig};
-pub use trial::{run_trials, ThroughputSummary, TrialOutcome, TrialSummary};
+pub use trial::{run_trials, TrialOutcome, TrialSummary};
 pub use workloads::{
     env_scale_factor, env_seed, env_trials, load_standin, load_standin_scaled, Workload,
 };

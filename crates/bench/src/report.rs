@@ -2,7 +2,7 @@
 //! under `target/experiments/`, and the versioned machine-readable
 //! `BENCH.json` report emitted by `tristream-cli bench`.
 //!
-//! # `BENCH.json` schema (version 8)
+//! # `BENCH.json` schema (version 9)
 //!
 //! New fields may appear in later versions, existing fields keep their
 //! name, type and meaning until a version removes them, and
@@ -20,18 +20,23 @@
 //! `parallel_vs_sequential_decode_speedup` field together with the
 //! pipelined reader and its `ingest-binary-parallel` row; version 8
 //! removed the `engine-spawn-w{N}` rows together with the spawn-per-batch
-//! baseline (no field changes). Field by field:
+//! baseline (no field changes); version 9 removed the `"ingest"` value of
+//! `kind` with its `ingest-text` / `ingest-binary` rows, the `derived`
+//! object with its `binary_vs_text_ingest_speedup` field, the
+//! `serve-query` and `snapshot-encode` rows, and every
+//! `engine-persistent-w{N}` row but the serve-ingest gate's partner.
+//! Field by field:
 //!
 //! * `schema` (string) — always `"tristream-bench"`.
-//! * `schema_version` (integer) — `8`.
+//! * `schema_version` (integer) — `9`.
 //! * `mode` (string) — `"smoke"` or `"full"`.
 //! * `seed` (integer) — base RNG seed the whole suite derives from.
 //! * `workloads` (array) — one object per named workload:
 //!   * `name` (string) — stable workload identifier, e.g.
-//!     `"ingest-binary"`, `"engine-persistent-w4096"`,
-//!     `"accuracy-jowhari-ghodsi"`, `"hotpath-pooled-w4096"`.
-//!   * `kind` (string) — `"ingest"`, `"engine"`, `"accuracy"`,
-//!     `"hot-path"`, `"serve"` or `"snapshot"`.
+//!     `"engine-persistent-w4096"`, `"accuracy-jowhari-ghodsi"`,
+//!     `"hotpath-pooled-w4096"`, `"snapshot-restore"`.
+//!   * `kind` (string) — `"engine"`, `"accuracy"`, `"hot-path"`,
+//!     `"serve"` or `"snapshot"`.
 //!   * `edges` (integer) — edges processed per trial.
 //!   * `trials` (integer) — number of timed trials.
 //!   * `batch` (integer | null) — batch size `w`, when the workload has one.
@@ -58,9 +63,6 @@
 //!     across trials (`|est − truth| / truth`), for accuracy workloads.
 //!   * `error_bound` (number | null) — the documented accuracy bound the
 //!     CI gate enforces; `mean_rel_error > error_bound` fails the gate.
-//! * `derived` (object):
-//!   * `binary_vs_text_ingest_speedup` (number | null) — `edges_per_sec`
-//!     of `ingest-binary` over `ingest-text`, when both ran.
 //!
 //! Deterministic seeding makes `mean_rel_error` identical run-to-run, so
 //! the accuracy gate is stable; only the latency fields vary with the
@@ -197,10 +199,7 @@ pub fn write_csv(table: &ExperimentTable, name: &str) -> PathBuf {
 /// What a named workload measures; serialised as the `kind` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
-    /// File-ingestion throughput (reader + decode, no estimator).
-    Ingest,
-    /// Sharded bulk-counter throughput on the persistent worker pool
-    /// across batch sizes.
+    /// Sharded bulk-counter throughput on the persistent worker pool.
     Engine,
     /// Estimate accuracy against exact ground truth.
     Accuracy,
@@ -210,19 +209,18 @@ pub enum WorkloadKind {
     /// are produced).
     HotPath,
     /// Daemon throughput over a real loopback socket: EDGES-frame ingest
-    /// and QUERY latency through `tristream-serve`, including framing,
-    /// protocol decode, and engine enqueue/sync.
+    /// through `tristream-serve`, including framing, protocol decode, and
+    /// engine enqueue/sync.
     Serve,
-    /// Checkpoint mechanics: `TSS\0` snapshot encode and restore latency,
-    /// container size vs resident `memory_words()`, and — the gated half —
-    /// restore bit-parity against the uninterrupted run (bound exactly 0).
+    /// Checkpoint mechanics: `TSS\0` snapshot restore latency, container
+    /// size vs resident `memory_words()`, and — the gated half — restore
+    /// bit-parity against the uninterrupted run (bound exactly 0).
     Snapshot,
 }
 
 impl WorkloadKind {
     fn as_str(self) -> &'static str {
         match self {
-            WorkloadKind::Ingest => "ingest",
             WorkloadKind::Engine => "engine",
             WorkloadKind::Accuracy => "accuracy",
             WorkloadKind::HotPath => "hot-path",
@@ -236,7 +234,8 @@ impl WorkloadKind {
 /// `BENCH.json` (schema documented at [module level](self)).
 #[derive(Debug, Clone)]
 pub struct WorkloadResult {
-    /// Stable identifier, e.g. `ingest-binary` or `engine-persistent-w4096`.
+    /// Stable identifier, e.g. `hotpath-pooled-w4096` or
+    /// `engine-persistent-w4096`.
     pub name: String,
     /// What the workload measures.
     pub kind: WorkloadKind,
@@ -355,8 +354,10 @@ pub struct BenchReport {
 /// `parallel_vs_sequential_decode_speedup` derived field; version 6
 /// added the `"snapshot"` `kind` value and the nullable `snapshot_words`
 /// field; version 7 removed `parallel_vs_sequential_decode_speedup`;
-/// version 8 removed the `engine-spawn-w{N}` rows.
-pub const BENCH_SCHEMA_VERSION: u32 = 8;
+/// version 8 removed the `engine-spawn-w{N}` rows; version 9 removed the
+/// `"ingest"` `kind` value, the `derived` object, the `serve-query` and
+/// `snapshot-encode` rows, and the ungated `engine-persistent-w{N}` rows.
+pub const BENCH_SCHEMA_VERSION: u32 = 9;
 
 /// Tolerance of the hot-path regression gate: the pooled bulk path fails
 /// the gate if its p50 latency exceeds the reference path's by more than
@@ -538,13 +539,7 @@ impl BenchReport {
                 "    },\n"
             });
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"derived\": {\n");
-        out.push_str(&format!(
-            "    \"binary_vs_text_ingest_speedup\": {}\n",
-            json_opt_f64(self.speedup("ingest-binary", "ingest-text"))
-        ));
-        out.push_str("  }\n");
+        out.push_str("  ]\n");
         out.push_str("}\n");
         out
     }
@@ -788,23 +783,23 @@ mod tests {
             seed: 7,
             workloads: vec![
                 summarize_workload(
-                    "ingest-text",
-                    WorkloadKind::Ingest,
+                    "hotpath-reference-w65536",
+                    WorkloadKind::HotPath,
                     1_000_000,
                     &[0.5, 0.4, 0.6],
                     Some(65_536),
                     None,
-                    None,
+                    Some(2_048),
                     None,
                 ),
                 summarize_workload(
-                    "ingest-binary",
-                    WorkloadKind::Ingest,
+                    "hotpath-pooled-w65536",
+                    WorkloadKind::HotPath,
                     1_000_000,
                     &[0.05, 0.04, 0.06],
                     Some(65_536),
                     None,
-                    None,
+                    Some(2_048),
                     None,
                 ),
                 summarize_workload(
@@ -863,8 +858,6 @@ mod tests {
             "\"edges_per_sec\"",
             "\"mean_rel_error\"",
             "\"error_bound\"",
-            "\"derived\"",
-            "\"binary_vs_text_ingest_speedup\"",
         ] {
             assert!(
                 json.contains(field),
@@ -889,7 +882,7 @@ mod tests {
     fn summaries_derive_throughput_from_p50() {
         let w = summarize_workload(
             "x",
-            WorkloadKind::Ingest,
+            WorkloadKind::Engine,
             1_000,
             &[0.5, 0.1, 0.2],
             None,
@@ -905,8 +898,14 @@ mod tests {
 
     #[test]
     fn hot_path_gate_compares_pooled_against_reference_rows() {
-        let mut report = sample_report();
         // No hot-path rows: nothing to gate.
+        let empty = BenchReport {
+            workloads: Vec::new(),
+            ..sample_report()
+        };
+        assert!(empty.hot_path_regressions().is_empty());
+        // The sample's w65536 pair is 10x faster and passes.
+        let mut report = sample_report();
         assert!(report.hot_path_regressions().is_empty());
         let row = |name: &str, p50: f64| {
             summarize_workload(
@@ -1043,13 +1042,13 @@ mod tests {
     }
 
     #[test]
-    fn speedup_compares_ingest_workloads() {
+    fn speedup_compares_hot_path_workloads() {
         let report = sample_report();
-        let speedup = report.speedup("ingest-binary", "ingest-text").unwrap();
+        let speedup = report
+            .speedup("hotpath-pooled-w65536", "hotpath-reference-w65536")
+            .unwrap();
         assert!((speedup - 10.0).abs() < 1e-9, "0.5s vs 0.05s → 10x");
-        assert!(report.speedup("ingest-binary", "nope").is_none());
-        let json = report.to_json();
-        assert!(json.contains("\"binary_vs_text_ingest_speedup\": 10"));
+        assert!(report.speedup("hotpath-pooled-w65536", "nope").is_none());
     }
 
     #[test]
@@ -1066,7 +1065,7 @@ mod tests {
         let t = sample_report().to_table();
         assert_eq!(t.len(), 4);
         let rendered = t.render();
-        assert!(rendered.contains("ingest-binary"));
+        assert!(rendered.contains("hotpath-pooled-w65536"));
         assert!(
             rendered.contains("7900"),
             "head-to-head rows show measured memory words:\n{rendered}"

@@ -1,54 +1,50 @@
 //! The named-workload benchmark suite behind `tristream-cli bench`.
 //!
 //! Unlike the `table*`/`figure*` binaries (which reproduce the paper's
-//! evaluation as prose tables), this suite exists to *record the perf
-//! trajectory of the implementation itself*: every workload has a stable
-//! name, runs deterministically from one base seed, and lands in the
-//! versioned `BENCH.json` schema documented in [`crate::report`]. CI runs
+//! evaluation as prose tables), this suite holds the implementation's CI
+//! gates: every workload has a stable name, runs deterministically from
+//! one base seed, feeds a gate, and lands in the versioned `BENCH.json`
+//! schema documented in [`crate::report`]. CI runs
 //! the smoke configuration on every push and gates on the accuracy
 //! workloads — their `mean_rel_error` is a pure function of the seed, so
 //! the gate never flakes on machine speed.
 //!
 //! Workloads:
 //!
-//! * `ingest-text` / `ingest-binary` — batched file ingestion of the same
-//!   synthetic stream through the SNAP text codec and the `.tsb` binary
-//!   codec. The binary-vs-text `edges_per_sec` ratio is the payoff of the
-//!   binary format (target: ≥5×).
 //! * `engine-persistent-w{N}` — the sharded bulk counter
-//!   ([`ShardedEstimator::bulk`]) on its persistent worker pool across
-//!   batch sizes `w = 256 … 65536`; the partner row of the
-//!   `serve-ingest` floor gate.
+//!   ([`ShardedEstimator::bulk`]) on its persistent worker pool at the
+//!   serve family's batch size; the partner row of the `serve-ingest`
+//!   floor gate.
 //! * `hotpath-reference-w{N}` / `hotpath-pooled-w{N}` — the retained
 //!   pre-pool bulk counter ([`ReferenceBulkCounter`]) raced against the
-//!   SoA-pool [`BulkTriangleCounter`] over the same batch-size sweep,
-//!   sequentially on one thread so the rows isolate the hot-path rewrite
-//!   (data layout, scratch reuse, hashing, batched RNG) from engine
-//!   effects. Estimates are asserted bit-identical per seed while the rows
-//!   are produced; the latency ratio feeds the
+//!   SoA-pool [`BulkTriangleCounter`] over the batch-size sweep
+//!   `w = 256 … 65536`, sequentially on one thread so the rows isolate the
+//!   hot-path rewrite (data layout, scratch reuse, hashing, batched RNG)
+//!   from engine effects. Estimates are asserted bit-identical per seed
+//!   while the rows are produced; the latency ratio feeds the
 //!   [`hot_path_regressions`](BenchReport::hot_path_regressions) CI gate.
 //! * `accuracy-bulk-syn3reg` / `accuracy-parallel-planted` — bulk-counter
 //!   estimates against exact ground truth on generator graphs, each with a
 //!   documented error bound the CI gate enforces.
-//! * `serve-ingest` / `serve-query` — the `tristream-serve` daemon
-//!   measured end-to-end over a real loopback socket: EDGES-frame ingest
-//!   (framing + protocol decode + engine enqueue + final sync) and QUERY
-//!   round-trip latency. The served estimate is checked bit-identical to
-//!   an offline twin built by the recipe `docs/PROTOCOL.md` documents,
-//!   and the mismatch fraction is the row's gated error (bound 0), so
-//!   `bench --check` enforces socket/offline parity. `serve-ingest` also
-//!   feeds the
+//! * `serve-ingest` — the `tristream-serve` daemon measured end-to-end
+//!   over a real loopback socket: EDGES-frame ingest (framing + protocol
+//!   decode + engine enqueue + final sync). The served estimate is checked
+//!   bit-identical to an offline twin built by the recipe
+//!   `docs/PROTOCOL.md` documents, and the mismatch fraction is the row's
+//!   gated error (bound 0), so `bench --check` enforces socket/offline
+//!   parity. The row also feeds the
 //!   [`serve_ingest_regressions`](BenchReport::serve_ingest_regressions)
 //!   CI gate against the `engine-persistent-w{N}` row at its batch size.
-//! * `snapshot-encode` / `snapshot-restore` — checkpoint mechanics on the
-//!   serve engine recipe: a `TSS\0` snapshot is taken mid-stream
-//!   (`snapshot-encode` times the serialization and records the container
-//!   size in words next to the resident `memory_words()`), restored into
-//!   a freshly built engine (`snapshot-restore`), and both runs then
-//!   finish the stream. The gated statistic on `snapshot-restore` is the
-//!   fraction of trials whose restored run did not finish bit-identical
-//!   to the uninterrupted one, with a bound of exactly zero — so
-//!   `bench --check` enforces restore bit-parity.
+//! * `snapshot-restore` — checkpoint mechanics on the serve engine recipe:
+//!   a `TSS\0` snapshot is taken mid-stream (the row records the container
+//!   size in words next to the resident `memory_words()`), restored into a
+//!   freshly built engine, and both runs then finish the stream. The gated
+//!   statistic is the fraction of trials whose restored run did not finish
+//!   bit-identical to the uninterrupted one, with a bound of exactly zero —
+//!   so `bench --check` enforces restore bit-parity.
+//!
+//! Timing at real shapes is `perfbench`'s job (`perfbench/README.md`);
+//! the latency columns here only feed the two same-run ratio gates.
 //!
 //! [`ShardedEstimator::bulk`]: tristream_core::ShardedEstimator::bulk
 //! [`ReferenceBulkCounter`]: tristream_core::reference::ReferenceBulkCounter
@@ -56,17 +52,13 @@
 use crate::report::{summarize_workload, BenchReport, WorkloadKind, WorkloadResult};
 use crate::trial::run_trials;
 use crate::workloads::load_standin_scaled;
-use std::path::PathBuf;
 use std::time::Instant;
 use tristream_baselines::registry::{find_algo, AlgoParams, StreamHint};
 use tristream_core::{
     BulkTriangleCounter, Level1Strategy, ReferenceBulkCounter, ShardedEstimator, TriangleEstimator,
 };
 use tristream_gen::DatasetKind;
-use tristream_graph::binary::{read_edges_binary_batched_file, write_edges_binary_file};
-use tristream_graph::io::{read_edge_list_batched_file, write_edge_list_file};
 use tristream_graph::{Edge, EdgeStream, GraphError};
-use tristream_sample::{salted_seed, splitmix64_next};
 use tristream_serve::{Client, CreateStream, Server, SERVE_STREAM_HINT};
 
 /// Documented accuracy bound for `accuracy-bulk-syn3reg` (mean relative
@@ -119,11 +111,8 @@ pub struct BenchConfig {
     pub seed: u64,
     /// Timed trials per workload.
     pub trials: usize,
-    /// Edges in the synthetic ingest stream.
-    pub ingest_edges: usize,
-    /// Batch size for the ingest readers.
-    pub ingest_batch: usize,
-    /// Batch sizes `w` swept by the engine workloads.
+    /// Batch sizes `w` swept by the hot-path workloads; the middle one is
+    /// the batch size of the engine, serve and snapshot workloads.
     pub engine_batches: Vec<usize>,
     /// Vertices of the Holme–Kim stream the engine workloads process.
     pub engine_vertices: u64,
@@ -139,17 +128,14 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    /// The CI configuration: full-size ingest comparison (the 1M-edge
-    /// stream the ≥5× claim is measured on), all engine batch sizes, and
-    /// the accuracy gate, but few trials and moderate pools so the whole
+    /// The CI configuration: every gated workload and the whole hot-path
+    /// batch-size sweep, but few trials and moderate pools so the whole
     /// run stays in CI budget.
     pub fn smoke(seed: u64) -> Self {
         Self {
             mode: "smoke".into(),
             seed,
             trials: 3,
-            ingest_edges: 1_000_000,
-            ingest_batch: 65_536,
             engine_batches: vec![256, 1_024, 4_096, 16_384, 65_536],
             engine_vertices: 4_000,
             engine_estimators: 2_048,
@@ -179,39 +165,26 @@ impl BenchConfig {
             ..Self::smoke(seed)
         }
     }
-}
 
-/// The synthetic ingest stream: `n` pseudo-random edges over ~a million
-/// vertices, deterministic in `seed` (a [`splitmix64_next`] stream —
-/// the workspace's one blessed mixer). Duplicates are possible and kept —
-/// ingestion measures the codecs, not graph semantics.
-pub fn synthetic_ingest_stream(n: usize, seed: u64) -> Vec<Edge> {
-    let mut state = salted_seed(seed, 0xD6E8_FEB8_6659_FD93);
-    let mut edges = Vec::with_capacity(n);
-    while edges.len() < n {
-        let a = splitmix64_next(&mut state) & 0xF_FFFF;
-        let b = splitmix64_next(&mut state) & 0xF_FFFF;
-        if a != b {
-            edges.push(Edge::new(a, b));
-        }
+    /// The batch size of the engine, serve and snapshot workloads: the
+    /// middle of the hot-path sweep, big enough to amortise framing and
+    /// small enough that each trial sends many frames.
+    fn serve_batch(&self) -> usize {
+        self.engine_batches[self.engine_batches.len() / 2]
     }
-    edges
 }
 
-/// Runs the whole suite and returns the report. Ingest scratch files live
-/// under a per-process temp directory that is removed before returning.
+/// Runs the whole suite and returns the report.
 pub fn run_suite(config: &BenchConfig) -> Result<BenchReport, GraphError> {
     // One generation feeds both the engine and the hot-path families, so
     // the two row sets measure the same stream by construction.
     let engine_stream = tristream_gen::holme_kim(config.engine_vertices, 5, 0.4, config.seed);
-    let mut workloads = Vec::new();
-    workloads.extend(ingest_workloads(config)?);
-    workloads.extend(engine_workloads(config, &engine_stream));
+    let mut workloads = vec![engine_workload(config, &engine_stream)];
     workloads.extend(hot_path_workloads(config, &engine_stream));
     workloads.extend(accuracy_workloads(config));
     workloads.extend(head_to_head_workloads(config));
-    workloads.extend(serve_workloads(config, &engine_stream)?);
-    workloads.extend(snapshot_workloads(config, &engine_stream));
+    workloads.push(serve_workload(config, &engine_stream)?);
+    workloads.push(snapshot_workload(config, &engine_stream));
     Ok(BenchReport {
         mode: config.mode.clone(),
         seed: config.seed,
@@ -219,112 +192,32 @@ pub fn run_suite(config: &BenchConfig) -> Result<BenchReport, GraphError> {
     })
 }
 
-fn ingest_workloads(config: &BenchConfig) -> Result<Vec<WorkloadResult>, GraphError> {
-    let edges = synthetic_ingest_stream(config.ingest_edges, config.seed);
-    // Keyed by pid *and* a per-call counter: concurrent `run_suite` calls
-    // in one process (parallel test threads) must not share scratch files
-    // or delete each other's directory.
-    static NEXT_SCRATCH_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let unique = NEXT_SCRATCH_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "tristream-bench-suite-{}-{unique}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir)?;
-    let result = ingest_workloads_in(config, &edges, &dir);
-    std::fs::remove_dir_all(&dir).ok();
-    result
-}
-
-fn ingest_workloads_in(
-    config: &BenchConfig,
-    edges: &[Edge],
-    dir: &std::path::Path,
-) -> Result<Vec<WorkloadResult>, GraphError> {
-    let text_path: PathBuf = dir.join("ingest.txt");
-    let tsb_path: PathBuf = dir.join("ingest.tsb");
-    write_edge_list_file(&EdgeStream::new(edges.to_vec()), &text_path)?;
-    write_edges_binary_file(edges, &tsb_path)?;
-
-    let mut text_latencies = Vec::with_capacity(config.trials);
-    let mut binary_latencies = Vec::with_capacity(config.trials);
-    for trial in 0..config.trials {
-        // Rotate the order so filesystem cache warmth cannot
-        // systematically favour whichever codec runs later in a trial.
-        let run_text = |latencies: &mut Vec<f64>| -> Result<(), GraphError> {
-            let start = Instant::now();
-            let mut seen = 0usize;
-            for batch in read_edge_list_batched_file(&text_path, config.ingest_batch)? {
-                seen += batch?.len();
-            }
-            latencies.push(start.elapsed().as_secs_f64());
-            assert_eq!(seen, edges.len(), "text reader must cover the stream");
-            Ok(())
-        };
-        let run_binary = |latencies: &mut Vec<f64>| -> Result<(), GraphError> {
-            let start = Instant::now();
-            let mut seen = 0usize;
-            for batch in read_edges_binary_batched_file(&tsb_path, config.ingest_batch)? {
-                seen += batch?.len();
-            }
-            latencies.push(start.elapsed().as_secs_f64());
-            assert_eq!(seen, edges.len(), "binary reader must cover the stream");
-            Ok(())
-        };
-        if trial % 2 == 0 {
-            run_text(&mut text_latencies)?;
-            run_binary(&mut binary_latencies)?;
-        } else {
-            run_binary(&mut binary_latencies)?;
-            run_text(&mut text_latencies)?;
-        }
-    }
-
-    let summarize = |name: &str, latencies: &[f64]| {
-        summarize_workload(
-            name,
-            WorkloadKind::Ingest,
-            edges.len() as u64,
-            latencies,
-            Some(config.ingest_batch),
-            None,
-            None,
-            None,
-        )
-    };
-    Ok(vec![
-        summarize("ingest-text", &text_latencies),
-        summarize("ingest-binary", &binary_latencies),
-    ])
-}
-
-fn engine_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<WorkloadResult> {
+/// The `engine-persistent-w{N}` row at the serve family's batch size: the
+/// partner the `serve-ingest` floor gate compares against.
+fn engine_workload(config: &BenchConfig, stream: &EdgeStream) -> WorkloadResult {
     let edges = stream.edges();
     let (r, shards) = (config.engine_estimators, config.shards);
-    let mut results = Vec::new();
-    for &w in &config.engine_batches {
-        let mut latencies = Vec::with_capacity(config.trials);
-        for t in 0..config.trials {
-            let mut counter = ShardedEstimator::bulk(r, shards, config.seed.wrapping_add(t as u64));
-            let start = Instant::now();
-            for batch in edges.chunks(w) {
-                counter.process_batch(batch);
-            }
-            std::hint::black_box(counter.estimate());
-            latencies.push(start.elapsed().as_secs_f64());
+    let w = config.serve_batch();
+    let mut latencies = Vec::with_capacity(config.trials);
+    for t in 0..config.trials {
+        let mut counter = ShardedEstimator::bulk(r, shards, config.seed.wrapping_add(t as u64));
+        let start = Instant::now();
+        for batch in edges.chunks(w) {
+            counter.process_batch(batch);
         }
-        results.push(summarize_workload(
-            &format!("engine-persistent-w{w}"),
-            WorkloadKind::Engine,
-            edges.len() as u64,
-            &latencies,
-            Some(w),
-            Some(shards),
-            Some(r),
-            None,
-        ));
+        std::hint::black_box(counter.estimate());
+        latencies.push(start.elapsed().as_secs_f64());
     }
-    results
+    summarize_workload(
+        &format!("engine-persistent-w{w}"),
+        WorkloadKind::Engine,
+        edges.len() as u64,
+        &latencies,
+        Some(w),
+        Some(shards),
+        Some(r),
+        None,
+    )
 }
 
 /// The `hot-path` family: the pre-pool reference bulk counter vs the
@@ -528,27 +421,19 @@ fn head_to_head_workloads(config: &BenchConfig) -> Vec<WorkloadResult> {
     results
 }
 
-/// The `serve-*` family: the daemon measured end-to-end over a real
+/// The `serve-ingest` row: the daemon measured end-to-end over a real
 /// loopback socket. Per trial a fresh stream is created with a
 /// trial-salted seed, the engine stream is sent as EDGES frames of `w`
-/// edges, and a QUERY synchronises — so `serve-ingest` covers framing,
-/// protocol decode, engine enqueue and the final sync. A second, separate
-/// QUERY times a `serve-query` round trip against the resident stream.
-/// That row is latency-only: a QUERY folds no edges, so its `edges` and
-/// `edges_per_sec` are 0.
+/// edges, and a QUERY synchronises — so the row covers framing, protocol
+/// decode, engine enqueue and the final sync.
 ///
-/// The gated statistic on `serve-ingest` is *parity*, not accuracy: the
-/// fraction of trials whose served estimate was not bit-identical to the
-/// offline twin, with a bound of exactly zero — the daemon must be a
-/// transparent transport around the registry engines.
-fn serve_workloads(
-    config: &BenchConfig,
-    stream: &EdgeStream,
-) -> Result<Vec<WorkloadResult>, GraphError> {
+/// The gated statistic is *parity*, not accuracy: the fraction of trials
+/// whose served estimate was not bit-identical to the offline twin, with a
+/// bound of exactly zero — the daemon must be a transparent transport
+/// around the registry engines.
+fn serve_workload(config: &BenchConfig, stream: &EdgeStream) -> Result<WorkloadResult, GraphError> {
     let edges = stream.edges();
-    // Middle of the engine batch sweep: big enough to amortise framing,
-    // small enough that each trial sends many frames.
-    let w = config.engine_batches[config.engine_batches.len() / 2];
+    let w = config.serve_batch();
     let shards = config.shards.max(1);
     let algo = "neighborhood-bulk";
     let budget_words = config.engine_estimators as u64;
@@ -566,7 +451,6 @@ fn serve_workloads(
     };
 
     let mut ingest_latencies = Vec::with_capacity(config.trials);
-    let mut query_latencies = Vec::with_capacity(config.trials);
     let mut parity_mismatches = 0u32;
     for t in 0..config.trials {
         let trial_seed = config.seed.wrapping_add(t as u64);
@@ -596,11 +480,6 @@ fn serve_workloads(
         if reply.estimate.to_bits() != offline.to_bits() {
             parity_mismatches += 1;
         }
-        let start = Instant::now();
-        if let Err(e) = client.query(&name) {
-            fail("re-query", &e);
-        }
-        query_latencies.push(start.elapsed().as_secs_f64());
         if let Err(e) = client.delete(&name) {
             fail("delete", &e);
         }
@@ -626,38 +505,26 @@ fn serve_workloads(
     );
     ingest.algo = Some(algo.to_string());
     ingest.budget_words = Some(budget_words);
-    let mut query = summarize_workload(
-        "serve-query",
-        WorkloadKind::Serve,
-        0,
-        &query_latencies,
-        Some(w),
-        Some(shards),
-        None,
-        None,
-    );
-    query.algo = Some(algo.to_string());
-    query.budget_words = Some(budget_words);
-    Ok(vec![ingest, query])
+    Ok(ingest)
 }
 
-/// The `snapshot-*` family: checkpoint mechanics on the serve engine
+/// The `snapshot-restore` row: checkpoint mechanics on the serve engine
 /// recipe. Per trial a fresh engine ingests the front of the stream up to
 /// a batch-aligned cut (where the daemon's checkpoint cadence would
-/// fire), its `TSS\0` snapshot is timed, the bytes are restored into a
-/// freshly built engine, and both engines then finish the stream over the
-/// same batch boundaries. The gated statistic on `snapshot-restore` is
-/// *parity* with a bound of exactly zero: the fraction of trials whose
-/// restored run did not finish bit-identical to the uninterrupted one — a
-/// checkpoint must be a perfect continuation, never an approximation.
-/// Both rows record the container size (`snapshot_words`) next to the
-/// resident `memory_words()` at the cut, so the report shows the
-/// serialization overhead a checkpoint pays over the sketch it captures.
-fn snapshot_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<WorkloadResult> {
+/// fire), its `TSS\0` snapshot is taken, the bytes are restored (timed)
+/// into a freshly built engine, and both engines then finish the stream
+/// over the same batch boundaries. The gated statistic is *parity* with a
+/// bound of exactly zero: the fraction of trials whose restored run did
+/// not finish bit-identical to the uninterrupted one — a checkpoint must
+/// be a perfect continuation, never an approximation. The row records the
+/// container size (`snapshot_words`) next to the resident `memory_words()`
+/// at the cut, so the report shows the serialization overhead a checkpoint
+/// pays over the sketch it captures.
+fn snapshot_workload(config: &BenchConfig, stream: &EdgeStream) -> WorkloadResult {
     let edges = stream.edges();
     // Same batch size and engine parameters as the serve family, so the
     // snapshot rows describe the checkpoints the daemon actually writes.
-    let w = config.engine_batches[config.engine_batches.len() / 2];
+    let w = config.serve_batch();
     let shards = config.shards.max(1);
     let algo = "neighborhood-bulk";
     let budget_words = config.engine_estimators as u64;
@@ -665,7 +532,6 @@ fn snapshot_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<Workload
     // EDGES-cadence checkpointer could genuinely have fired at.
     let cut = ((edges.len() / 2 / w.max(1)).max(1) * w).min(edges.len());
 
-    let mut encode_latencies = Vec::with_capacity(config.trials);
     let mut restore_latencies = Vec::with_capacity(config.trials);
     let mut parity_mismatches = 0u32;
     let mut measured_words = 0u64;
@@ -678,11 +544,9 @@ fn snapshot_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<Workload
         }
         measured_words = measured_words.max(engine.memory_words() as u64);
 
-        let start = Instant::now();
         let bytes = engine
             .snapshot()
             .unwrap_or_else(|e| panic!("snapshot workload encode: {e}"));
-        encode_latencies.push(start.elapsed().as_secs_f64());
         container_words = container_words.max((bytes.len() as u64).div_ceil(8));
 
         // Restore into a freshly built engine, as crash recovery does.
@@ -702,23 +566,6 @@ fn snapshot_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<Workload
         }
     }
 
-    let extras = |workload: &mut WorkloadResult| {
-        workload.algo = Some(algo.to_string());
-        workload.budget_words = Some(budget_words);
-        workload.memory_words = Some(measured_words);
-        workload.snapshot_words = Some(container_words);
-    };
-    let mut encode = summarize_workload(
-        "snapshot-encode",
-        WorkloadKind::Snapshot,
-        cut as u64,
-        &encode_latencies,
-        Some(w),
-        Some(shards),
-        None,
-        None,
-    );
-    extras(&mut encode);
     let parity_error = f64::from(parity_mismatches) / config.trials.max(1) as f64;
     let mut restore = summarize_workload(
         "snapshot-restore",
@@ -730,8 +577,11 @@ fn snapshot_workloads(config: &BenchConfig, stream: &EdgeStream) -> Vec<Workload
         None,
         Some((parity_error, 0.0)),
     );
-    extras(&mut restore);
-    vec![encode, restore]
+    restore.algo = Some(algo.to_string());
+    restore.budget_words = Some(budget_words);
+    restore.memory_words = Some(measured_words);
+    restore.snapshot_words = Some(container_words);
+    restore
 }
 
 /// Builds the serve engine recipe `docs/PROTOCOL.md` documents for CREATE
@@ -791,8 +641,6 @@ mod tests {
             mode: "test".into(),
             seed: 1,
             trials: 1,
-            ingest_edges: 2_000,
-            ingest_batch: 256,
             engine_batches: vec![128],
             engine_vertices: 200,
             engine_estimators: 128,
@@ -803,27 +651,16 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_stream_is_deterministic_and_sized() {
-        let a = synthetic_ingest_stream(1_000, 7);
-        let b = synthetic_ingest_stream(1_000, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1_000);
-        assert_ne!(a, synthetic_ingest_stream(1_000, 8));
-    }
-
-    #[test]
     fn suite_runs_end_to_end_and_passes_its_own_gate() {
         let report = run_suite(&tiny_config()).unwrap();
-        // 2 ingest + 1 engine + 2 hot-path (one batch size) + 2 accuracy +
-        // 2 serve + 2 snapshot + the equal-memory head-to-head family (one
-        // row per registry entry).
+        // 1 engine + 2 hot-path (one batch size) + 2 accuracy + 1 serve +
+        // 1 snapshot + the equal-memory head-to-head family (one row per
+        // registry entry).
         assert_eq!(
             report.workloads.len(),
-            11 + tristream_baselines::registry().len()
+            7 + tristream_baselines::registry().len()
         );
         for name in [
-            "ingest-text",
-            "ingest-binary",
             "engine-persistent-w128",
             "hotpath-reference-w128",
             "hotpath-pooled-w128",
@@ -837,7 +674,6 @@ mod tests {
             "accuracy-jowhari-ghodsi",
             "accuracy-pagh-tsourakakis",
             "serve-ingest",
-            "snapshot-encode",
             "snapshot-restore",
         ] {
             let w = report.workload(name).unwrap_or_else(|| {
@@ -857,7 +693,6 @@ mod tests {
                 .map(|w| (w.name.clone(), w.mean_rel_error))
                 .collect::<Vec<_>>()
         );
-        assert!(report.speedup("ingest-binary", "ingest-text").is_some());
         assert!(report
             .speedup("hotpath-pooled-w128", "hotpath-reference-w128")
             .is_some());
@@ -957,13 +792,6 @@ mod tests {
         assert_eq!(ingest.error_bound, Some(0.0), "the parity bound is exact");
         assert_eq!(ingest.algo.as_deref(), Some("neighborhood-bulk"));
         assert!(ingest.batch.is_some() && ingest.shards.is_some());
-        // serve-query is latency-only: a QUERY folds no edges.
-        let query = report.workload("serve-query").unwrap();
-        assert_eq!(query.kind, WorkloadKind::Serve);
-        assert!(query.p50_latency_secs > 0.0, "queries must be timed");
-        assert_eq!(query.trials, 1);
-        assert_eq!((query.edges, query.edges_per_sec), (0, 0.0));
-        assert_eq!(query.batch, ingest.batch);
     }
 
     #[test]
@@ -978,36 +806,29 @@ mod tests {
         );
         assert_eq!(restore.error_bound, Some(0.0), "the parity bound is exact");
         assert_eq!(restore.algo.as_deref(), Some("neighborhood-bulk"));
-        let encode = report.workload("snapshot-encode").unwrap();
-        assert_eq!(encode.kind, WorkloadKind::Snapshot);
-        assert!(
-            encode.mean_rel_error.is_none(),
-            "only the restore row carries the parity gate"
+        // The row describes the checkpoint: its container size next to the
+        // resident sketch it captured.
+        let words = restore.snapshot_words.expect("container size is recorded");
+        let resident = restore.memory_words.expect("resident words are recorded");
+        assert!(words > 0 && resident > 0, "empty sizes");
+        // The parity statement covers the whole stream.
+        assert_eq!(
+            restore.edges,
+            report.workload("serve-ingest").unwrap().edges
         );
-        // Both rows describe the same checkpoint: its container size next
-        // to the resident sketch it captured.
-        for row in [encode, restore] {
-            let words = row.snapshot_words.expect("container size is recorded");
-            let resident = row.memory_words.expect("resident words are recorded");
-            assert!(words > 0 && resident > 0, "{}: empty sizes", row.name);
-        }
-        // The snapshot covers the front of the stream, the parity statement
-        // covers all of it.
-        assert!(encode.edges > 0 && encode.edges < restore.edges);
     }
 
     #[test]
     fn smoke_and_full_configs_are_ci_shaped() {
         let smoke = BenchConfig::smoke(1);
         assert_eq!(smoke.mode, "smoke");
-        assert_eq!(smoke.ingest_edges, 1_000_000, "the ≥5x claim is 1M edges");
         assert_eq!(
             smoke.engine_batches,
             vec![256, 1_024, 4_096, 16_384, 65_536]
         );
+        assert_eq!(smoke.serve_batch(), 4_096);
         let full = BenchConfig::full(1);
         assert_eq!(full.mode, "full");
         assert!(full.trials > smoke.trials);
-        assert_eq!(full.ingest_edges, smoke.ingest_edges);
     }
 }

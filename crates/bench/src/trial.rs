@@ -57,16 +57,6 @@ impl TrialSummary {
     }
 }
 
-/// Average-throughput record used by the figures that report million edges
-/// per second.
-#[derive(Debug, Clone, Serialize)]
-pub struct ThroughputSummary {
-    /// Label of the configuration (dataset, r, batch size, …).
-    pub label: String,
-    /// Average throughput in million edges per second.
-    pub million_edges_per_second: f64,
-}
-
 /// Runs `trials` independent trials. `run` receives the trial's seed and
 /// must return the estimate; the closure's wall-clock time is measured
 /// around the call.

@@ -133,8 +133,6 @@ pub enum Command {
         seed: u64,
         /// Where to write the JSON report.
         output: PathBuf,
-        /// Override the ingest stream size (mainly for tests).
-        edges: Option<usize>,
     },
     /// Run the workspace invariant linter (`tristream-analyze`).
     Analyze {
@@ -263,7 +261,6 @@ USAGE:
   tristream-cli sample       <EDGE_LIST> [-k K] [--estimators N] [--seed S]
   tristream-cli convert      <INPUT> --output FILE [--timestamps]
   tristream-cli bench        [--smoke] [--check] [--seed S] [--output FILE]
-                             [--edges N]
   tristream-cli serve        [--addr HOST:PORT] [--state-dir DIR]
                              [--checkpoint-every N] [--idle-timeout SECS]
   tristream-cli client       create NAME --algo NAME [--seed S] [--budget WORDS]
@@ -295,10 +292,12 @@ instead, which every subcommand reads transparently; `convert` translates
 between the two (exactly one side must be `.tsb`, and `--timestamps` adds a
 stream-position timestamp column when writing `.tsb`).
 
-`bench` runs the named perf workloads (text vs binary ingest, sharded
-engine throughput, accuracy vs exact) and writes a machine-readable
-BENCH.json (default path: BENCH.json); `--check` makes an accuracy-bound
-violation a non-zero exit, which is how CI gates.
+`bench` runs the gated workloads (accuracy vs exact, pooled vs reference
+bulk hot path, serve ingest vs the sharded engine, socket and restore
+parity) and writes a machine-readable BENCH.json (default path:
+BENCH.json); `--check` makes a gate violation a non-zero exit, which is
+how CI gates. Timing at real shapes is perfbench's job
+(`python3 perfbench/run.py`).
 
 `serve` runs the multi-tenant streaming estimation daemon: clients CREATE
 named streams running any registry algorithm under a word budget, feed
@@ -566,7 +565,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut check = false;
             let mut seed = 1u64;
             let mut output = PathBuf::from("BENCH.json");
-            let mut edges = None;
             let mut i = 0;
             while i < rest.len() {
                 match rest[i].as_str() {
@@ -589,25 +587,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         );
                         i += 2;
                     }
-                    "--edges" => {
-                        edges = Some(parse_flag_value("--edges", rest.get(i + 1))?);
-                        i += 2;
-                    }
                     other => return Err(CliError::UnknownFlag(other.to_string())),
                 }
-            }
-            if edges == Some(0) {
-                return Err(CliError::InvalidFlagValue {
-                    flag: "--edges",
-                    reason: "the ingest stream needs at least one edge",
-                });
             }
             Ok(Command::Bench {
                 smoke,
                 check,
                 seed,
                 output,
-                edges,
             })
         }
         "analyze" => {
@@ -1323,11 +1310,10 @@ mod tests {
                 check: false,
                 seed: 1,
                 output: PathBuf::from("BENCH.json"),
-                edges: None
             }
         );
         let b = parse_args(&args(&[
-            "bench", "--smoke", "--check", "--seed", "9", "--output", "out.json", "--edges", "5000",
+            "bench", "--smoke", "--check", "--seed", "9", "--output", "out.json",
         ]))
         .unwrap();
         assert_eq!(
@@ -1337,15 +1323,11 @@ mod tests {
                 check: true,
                 seed: 9,
                 output: PathBuf::from("out.json"),
-                edges: Some(5_000)
             }
         );
         assert!(matches!(
-            parse_args(&args(&["bench", "--edges", "0"])).unwrap_err(),
-            CliError::InvalidFlagValue {
-                flag: "--edges",
-                ..
-            }
+            parse_args(&args(&["bench", "--edges", "5000"])).unwrap_err(),
+            CliError::UnknownFlag(flag) if flag == "--edges"
         ));
         assert!(matches!(
             parse_args(&args(&["bench", "--bogus"])).unwrap_err(),

@@ -473,16 +473,12 @@ fn serve_daemon_end_to_end_over_the_binary() {
 #[test]
 fn bench_smoke_emits_machine_readable_json() {
     let json_path = temp_path("bench.json");
-    // `--edges 2000` keeps the debug-mode integration test quick; CI runs
-    // the full 1M-edge smoke configuration in release.
     let bench = run(&[
         "bench",
         "--smoke",
         "--check",
         "--seed",
         "1",
-        "--edges",
-        "2000",
         "--output",
         json_path.to_str().unwrap(),
     ]);
@@ -492,14 +488,11 @@ fn bench_smoke_emits_machine_readable_json() {
     let json = std::fs::read_to_string(&json_path).expect("bench wrote the report");
     for field in [
         "\"schema\": \"tristream-bench\"",
-        "\"schema_version\": 8",
-        "\"snapshot-encode\"",
+        "\"schema_version\": 9",
         "\"snapshot-restore\"",
         "\"kind\": \"snapshot\"",
         "\"snapshot_words\"",
-        "\"ingest-text\"",
-        "\"ingest-binary\"",
-        "\"engine-persistent-w65536\"",
+        "\"engine-persistent-w4096\"",
         "\"hotpath-reference-w4096\"",
         "\"hotpath-pooled-w4096\"",
         "\"kind\": \"hot-path\"",
@@ -513,13 +506,21 @@ fn bench_smoke_emits_machine_readable_json() {
         "\"accuracy-pagh-tsourakakis\"",
         "\"memory_words\"",
         "\"budget_words\"",
-        "\"binary_vs_text_ingest_speedup\"",
     ] {
         assert!(json.contains(field), "BENCH.json missing {field}:\n{json}");
     }
-    assert!(
-        !json.contains("engine-spawn"),
-        "schema 8 has no spawn rows:\n{json}"
-    );
+    for gone in [
+        "engine-spawn",
+        "ingest-",
+        "serve-query",
+        "snapshot-encode",
+        "engine-persistent-w65536",
+        "binary_vs_text_ingest_speedup",
+    ] {
+        assert!(
+            !json.contains(gone),
+            "schema 9 has no {gone} rows or fields:\n{json}"
+        );
+    }
     let _ = std::fs::remove_file(&json_path);
 }
