@@ -2,7 +2,12 @@
 //! under `target/experiments/`, and the versioned machine-readable
 //! `BENCH.json` report emitted by `tristream-cli bench`.
 //!
-//! # `BENCH.json` schema (version 9)
+//! # `BENCH.json` schema (version 10)
+//!
+//! Every row is a correctness gate whose statistic is a pure function of
+//! the seed, so two runs with one seed write byte-identical files. Timing
+//! is not part of the report: speed is measured by `perfbench` at real
+//! shapes (`perfbench/README.md`).
 //!
 //! New fields may appear in later versions, existing fields keep their
 //! name, type and meaning until a version removes them, and
@@ -24,31 +29,35 @@
 //! `kind` with its `ingest-text` / `ingest-binary` rows, the `derived`
 //! object with its `binary_vs_text_ingest_speedup` field, the
 //! `serve-query` and `snapshot-encode` rows, and every
-//! `engine-persistent-w{N}` row but the serve-ingest gate's partner.
-//! Field by field:
+//! `engine-persistent-w{N}` row but the serve-ingest gate's partner;
+//! version 10 removed every timing: the `"engine"` and `"hot-path"` values
+//! of `kind` with the `engine-persistent-w4096` and `hotpath-*` rows, the
+//! `p50_latency_secs`, `p95_latency_secs` and `edges_per_sec` fields, and
+//! made `mean_rel_error` and `error_bound` non-nullable, since every
+//! remaining row is gated. Field by field:
 //!
 //! * `schema` (string) — always `"tristream-bench"`.
-//! * `schema_version` (integer) — `9`.
+//! * `schema_version` (integer) — `10`.
 //! * `mode` (string) — `"smoke"` or `"full"`.
 //! * `seed` (integer) — base RNG seed the whole suite derives from.
 //! * `workloads` (array) — one object per named workload:
 //!   * `name` (string) — stable workload identifier, e.g.
-//!     `"engine-persistent-w4096"`, `"accuracy-jowhari-ghodsi"`,
-//!     `"hotpath-pooled-w4096"`, `"snapshot-restore"`.
-//!   * `kind` (string) — `"engine"`, `"accuracy"`, `"hot-path"`,
-//!     `"serve"` or `"snapshot"`.
+//!     `"accuracy-bulk-syn3reg"`, `"accuracy-jowhari-ghodsi"`,
+//!     `"serve-ingest"`, `"snapshot-restore"`.
+//!   * `kind` (string) — `"accuracy"`, `"serve"` or `"snapshot"`.
 //!   * `edges` (integer) — edges processed per trial.
-//!   * `trials` (integer) — number of timed trials.
+//!   * `trials` (integer) — number of seeded trials.
 //!   * `batch` (integer | null) — batch size `w`, when the workload has one.
 //!   * `shards` (integer | null) — worker shards, when parallel.
 //!   * `estimators` (integer | null) — the algorithm's space parameter
 //!     (estimator-pool size `r`; color count `N` for `pagh-tsourakakis`),
 //!     when the workload runs an estimator.
 //!   * `algo` (string | null) — registry name of the algorithm, for the
-//!     equal-memory `accuracy-<algo>` head-to-head family.
+//!     equal-memory `accuracy-<algo>` head-to-head family and the serve
+//!     and snapshot rows.
 //!   * `memory_words` (integer | null) — the estimator's *measured*
 //!     `memory_words()` after the stream (8-byte words, see
-//!     `tristream_core::traits`), for head-to-head workloads.
+//!     `tristream_core::traits`), for head-to-head and snapshot workloads.
 //!   * `budget_words` (integer | null) — the memory budget the workload's
 //!     space parameter was sized for; comparing against `memory_words`
 //!     shows how close the equal-space setup landed.
@@ -56,17 +65,13 @@
 //!     container in 8-byte words (worst case across trials), for
 //!     `snapshot` workloads; comparing against `memory_words` shows the
 //!     serialization overhead of a checkpoint over the resident sketch.
-//!   * `p50_latency_secs` / `p95_latency_secs` (number) — nearest-rank
-//!     percentiles of per-trial wall-clock seconds.
-//!   * `edges_per_sec` (number) — `edges / p50_latency_secs`.
-//!   * `mean_rel_error` (number | null) — mean relative estimate error
-//!     across trials (`|est − truth| / truth`), for accuracy workloads.
-//!   * `error_bound` (number | null) — the documented accuracy bound the
-//!     CI gate enforces; `mean_rel_error > error_bound` fails the gate.
-//!
-//! Deterministic seeding makes `mean_rel_error` identical run-to-run, so
-//! the accuracy gate is stable; only the latency fields vary with the
-//! machine.
+//!   * `mean_rel_error` (number) — mean relative estimate error across
+//!     trials (`|est − truth| / truth`) for accuracy workloads; the
+//!     fraction of trials that were not bit-identical to their reference
+//!     run for the parity workloads (`serve`, `snapshot`).
+//!   * `error_bound` (number) — the documented bound the CI gate enforces;
+//!     `mean_rel_error > error_bound` fails the gate. The parity bound is
+//!     exactly `0`.
 
 use std::fs;
 use std::io::Write;
@@ -196,34 +201,25 @@ pub fn write_csv(table: &ExperimentTable, name: &str) -> PathBuf {
     path
 }
 
-/// What a named workload measures; serialised as the `kind` field.
+/// What a named workload gates; serialised as the `kind` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
-    /// Sharded bulk-counter throughput on the persistent worker pool.
-    Engine,
     /// Estimate accuracy against exact ground truth.
     Accuracy,
-    /// Bulk-counter hot-path throughput: the SoA-pool pipeline raced
-    /// against the retained pre-pool reference over the same seeds and
-    /// batch sizes (estimates are asserted bit-identical while the rows
-    /// are produced).
-    HotPath,
-    /// Daemon throughput over a real loopback socket: EDGES-frame ingest
-    /// through `tristream-serve`, including framing, protocol decode, and
-    /// engine enqueue/sync.
+    /// Daemon parity over a real loopback socket: EDGES-frame ingest
+    /// through `tristream-serve` must leave the served estimate
+    /// bit-identical to an offline twin (bound exactly 0).
     Serve,
-    /// Checkpoint mechanics: `TSS\0` snapshot restore latency, container
-    /// size vs resident `memory_words()`, and — the gated half — restore
-    /// bit-parity against the uninterrupted run (bound exactly 0).
+    /// Checkpoint mechanics: `TSS\0` container size vs resident
+    /// `memory_words()`, and restore bit-parity against the uninterrupted
+    /// run (bound exactly 0).
     Snapshot,
 }
 
 impl WorkloadKind {
     fn as_str(self) -> &'static str {
         match self {
-            WorkloadKind::Engine => "engine",
             WorkloadKind::Accuracy => "accuracy",
-            WorkloadKind::HotPath => "hot-path",
             WorkloadKind::Serve => "serve",
             WorkloadKind::Snapshot => "snapshot",
         }
@@ -234,14 +230,13 @@ impl WorkloadKind {
 /// `BENCH.json` (schema documented at [module level](self)).
 #[derive(Debug, Clone)]
 pub struct WorkloadResult {
-    /// Stable identifier, e.g. `hotpath-pooled-w4096` or
-    /// `engine-persistent-w4096`.
+    /// Stable identifier, e.g. `accuracy-bulk-syn3reg` or `serve-ingest`.
     pub name: String,
-    /// What the workload measures.
+    /// What the workload gates.
     pub kind: WorkloadKind,
     /// Edges processed per trial.
     pub edges: u64,
-    /// Number of timed trials.
+    /// Number of seeded trials.
     pub trials: usize,
     /// Batch size `w`, when the workload has one.
     pub batch: Option<usize>,
@@ -250,77 +245,51 @@ pub struct WorkloadResult {
     /// The algorithm's space parameter (estimator-pool size `r`, or color
     /// count `N`), when the workload runs an estimator.
     pub estimators: Option<usize>,
-    /// Registry name of the algorithm (head-to-head workloads).
+    /// Registry name of the algorithm (head-to-head, serve and snapshot).
     pub algo: Option<String>,
-    /// Measured `memory_words()` after the stream (head-to-head).
+    /// Measured `memory_words()` after the stream (head-to-head, snapshot).
     pub memory_words: Option<u64>,
-    /// Memory budget the space parameter was sized for (head-to-head).
+    /// Memory budget the space parameter was sized for.
     pub budget_words: Option<u64>,
     /// Size of the `TSS\0` snapshot container in 8-byte words, worst case
     /// across trials (snapshot workloads).
     pub snapshot_words: Option<u64>,
-    /// Nearest-rank p50 of per-trial wall-clock seconds.
-    pub p50_latency_secs: f64,
-    /// Nearest-rank p95 of per-trial wall-clock seconds.
-    pub p95_latency_secs: f64,
-    /// `edges / p50_latency_secs`.
-    pub edges_per_sec: f64,
-    /// Mean relative estimate error across trials, for accuracy workloads.
-    pub mean_rel_error: Option<f64>,
-    /// Documented accuracy bound the CI gate enforces.
-    pub error_bound: Option<f64>,
+    /// Mean relative estimate error across trials (accuracy workloads), or
+    /// the fraction of trials that broke bit-parity (serve, snapshot).
+    pub mean_rel_error: f64,
+    /// Documented bound the CI gate enforces.
+    pub error_bound: f64,
 }
 
 impl WorkloadResult {
-    /// Whether this workload violates its documented accuracy bound. An
+    /// Whether this workload violates its documented bound. An
     /// incomparable error (NaN) counts as a violation — a gate must never
     /// pass on garbage.
     pub fn exceeds_bound(&self) -> bool {
-        match (self.mean_rel_error, self.error_bound) {
-            (Some(error), Some(bound)) => !matches!(
-                error.partial_cmp(&bound),
-                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-            ),
-            _ => false,
-        }
+        !matches!(
+            self.mean_rel_error.partial_cmp(&self.error_bound),
+            Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
+        )
     }
 }
 
-/// Nearest-rank percentile of per-trial latencies (`q` in `[0, 1]`).
-/// Returns 0.0 for an empty slice.
-pub fn percentile(sorted_ascending: &[f64], q: f64) -> f64 {
-    if sorted_ascending.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted_ascending.len() as f64).ceil() as usize;
-    sorted_ascending[rank.clamp(1, sorted_ascending.len()) - 1]
-}
-
-/// Builds a [`WorkloadResult`] from raw per-trial latencies.
+/// Builds a [`WorkloadResult`] from a gated statistic and its bound.
 #[allow(clippy::too_many_arguments)]
 pub fn summarize_workload(
     name: &str,
     kind: WorkloadKind,
     edges: u64,
-    latencies_secs: &[f64],
+    trials: usize,
     batch: Option<usize>,
     shards: Option<usize>,
     estimators: Option<usize>,
-    accuracy: Option<(f64, f64)>,
+    (mean_rel_error, error_bound): (f64, f64),
 ) -> WorkloadResult {
-    let mut sorted = latencies_secs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let p50 = percentile(&sorted, 0.50);
-    let p95 = percentile(&sorted, 0.95);
-    let (mean_rel_error, error_bound) = match accuracy {
-        Some((error, bound)) => (Some(error), Some(bound)),
-        None => (None, None),
-    };
     WorkloadResult {
         name: name.to_string(),
         kind,
         edges,
-        trials: latencies_secs.len(),
+        trials,
         batch,
         shards,
         estimators,
@@ -328,9 +297,6 @@ pub fn summarize_workload(
         memory_words: None,
         budget_words: None,
         snapshot_words: None,
-        p50_latency_secs: p50,
-        p95_latency_secs: p95,
-        edges_per_sec: if p50 > 0.0 { edges as f64 / p50 } else { 0.0 },
         mean_rel_error,
         error_bound,
     }
@@ -347,39 +313,8 @@ pub struct BenchReport {
     pub workloads: Vec<WorkloadResult>,
 }
 
-/// The schema version this module writes. Version 2 added `algo`,
-/// `memory_words` and `budget_words` (all nullable — additive only);
-/// version 3 added the `"hot-path"` `kind` value; version 4 added the
-/// `"serve"` `kind` value; version 5 added the
-/// `parallel_vs_sequential_decode_speedup` derived field; version 6
-/// added the `"snapshot"` `kind` value and the nullable `snapshot_words`
-/// field; version 7 removed `parallel_vs_sequential_decode_speedup`;
-/// version 8 removed the `engine-spawn-w{N}` rows; version 9 removed the
-/// `"ingest"` `kind` value, the `derived` object, the `serve-query` and
-/// `snapshot-encode` rows, and the ungated `engine-persistent-w{N}` rows.
-pub const BENCH_SCHEMA_VERSION: u32 = 9;
-
-/// Tolerance of the hot-path regression gate: the pooled bulk path fails
-/// the gate if its p50 latency exceeds the reference path's by more than
-/// this factor, i.e. `pooled_p50 > HOT_PATH_TOLERANCE × reference_p50`.
-///
-/// The pooled path is expected to be ≥ 1.5× *faster* (the committed
-/// release-mode BENCH.json records the actual ratio), so a generous 1.5×
-/// "must not be slower than" band still leaves the gate far from the
-/// operating point — it only fires on a real hot-path regression, not on
-/// shared-runner noise. Estimate *equality* between the two paths is
-/// asserted bit-for-bit while the rows are produced, so the correctness
-/// half of the gate is fully deterministic.
-pub const HOT_PATH_TOLERANCE: f64 = 1.5;
-
-/// Floor of the serve-ingest gate: `serve-ingest` must sustain at least
-/// this fraction of the `edges_per_sec` of the `engine-persistent-w{w}`
-/// row at its batch size `w` and shard count. The daemon adds framing,
-/// protocol decode and one loopback round trip per frame to the engine's
-/// work; half the engine's rate leaves room for that and still catches a
-/// transport stall, which costs orders of magnitude (see
-/// [`serve_ingest_regressions`](BenchReport::serve_ingest_regressions)).
-pub const SERVE_INGEST_FLOOR: f64 = 0.5;
+/// The schema version this module writes (history in the [module docs](self)).
+pub const BENCH_SCHEMA_VERSION: u32 = 10;
 
 impl BenchReport {
     /// Looks up a workload by name.
@@ -387,82 +322,14 @@ impl BenchReport {
         self.workloads.iter().find(|w| w.name == name)
     }
 
-    /// `edges_per_sec` ratio of workload `numerator` over `denominator`,
-    /// when both ran and the denominator is non-zero.
-    pub fn speedup(&self, numerator: &str, denominator: &str) -> Option<f64> {
-        let over = self.workload(numerator)?.edges_per_sec;
-        let under = self.workload(denominator)?.edges_per_sec;
-        (under > 0.0).then_some(over / under)
-    }
-
-    /// Names of workloads whose mean relative error exceeds their
-    /// documented bound — the CI accuracy gate fails when non-empty.
+    /// Names of workloads whose gated statistic exceeds their documented
+    /// bound — the CI gate fails when non-empty.
     pub fn gate_failures(&self) -> Vec<String> {
         self.workloads
             .iter()
             .filter(|w| w.exceeds_bound())
             .map(|w| w.name.clone())
             .collect()
-    }
-
-    /// Names of hot-path workloads whose pooled row is slower than its
-    /// reference row beyond [`HOT_PATH_TOLERANCE`] — the CI hot-path gate
-    /// fails when non-empty. Pairs are matched by name
-    /// (`hotpath-pooled-w{N}` ↔ `hotpath-reference-w{N}`), and the gate
-    /// fails closed on shape problems, never just on slow pairs: a pooled
-    /// row with a missing reference row (or vice versa), a hot-path row
-    /// whose name matches neither prefix (e.g. after a rename that forgot
-    /// this function), or unusable (non-positive / non-finite) latencies
-    /// are all reported as regressions rather than skipped. A report with
-    /// no hot-path rows at all has nothing to gate and passes, like the
-    /// accuracy gate on a report with no accuracy rows.
-    pub fn hot_path_regressions(&self) -> Vec<String> {
-        self.workloads
-            .iter()
-            .filter(|w| w.kind == WorkloadKind::HotPath)
-            .filter_map(|w| {
-                let ok = if let Some(suffix) = w.name.strip_prefix("hotpath-pooled-") {
-                    self.workload(&format!("hotpath-reference-{suffix}"))
-                        .is_some_and(|r| {
-                            let (pooled, bound) =
-                                (w.p50_latency_secs, r.p50_latency_secs * HOT_PATH_TOLERANCE);
-                            pooled.is_finite() && pooled > 0.0 && bound > 0.0 && pooled <= bound
-                        })
-                } else if let Some(suffix) = w.name.strip_prefix("hotpath-reference-") {
-                    // A reference row must have a pooled partner; the
-                    // partner's own entry performs the ratio check.
-                    self.workload(&format!("hotpath-pooled-{suffix}")).is_some()
-                } else {
-                    // Unrecognised hot-path row: the pairing convention was
-                    // broken somewhere — fail closed.
-                    false
-                };
-                (!ok).then(|| w.name.clone())
-            })
-            .collect()
-    }
-
-    /// Failures of the serve-ingest gate — the CI gate fails when
-    /// non-empty. `serve-ingest` is compared against the
-    /// `engine-persistent-w{w}` row with the same batch size and shard
-    /// count, and fails below [`SERVE_INGEST_FLOOR`] of its
-    /// `edges_per_sec`. A report without a `serve-ingest` row has nothing
-    /// to gate and passes; a report *with* one fails closed when the
-    /// engine partner is missing, has a different shard count, or either
-    /// rate is zero or NaN.
-    pub fn serve_ingest_regressions(&self) -> Vec<String> {
-        let Some(serve) = self.workload("serve-ingest") else {
-            return Vec::new();
-        };
-        let engine = serve
-            .batch
-            .and_then(|w| self.workload(&format!("engine-persistent-w{w}")));
-        let ok = engine.is_some_and(|engine| {
-            engine.shards == serve.shards
-                && engine.edges_per_sec > 0.0
-                && serve.edges_per_sec >= SERVE_INGEST_FLOOR * engine.edges_per_sec
-        });
-        (!ok).then(|| serve.name.clone()).into_iter().collect()
     }
 
     /// Renders the report as pretty-printed JSON in the documented schema.
@@ -514,24 +381,12 @@ impl BenchReport {
                     .map_or_else(|| "null".to_string(), |v| v.to_string())
             ));
             out.push_str(&format!(
-                "      \"p50_latency_secs\": {},\n",
-                json_f64(w.p50_latency_secs)
-            ));
-            out.push_str(&format!(
-                "      \"p95_latency_secs\": {},\n",
-                json_f64(w.p95_latency_secs)
-            ));
-            out.push_str(&format!(
-                "      \"edges_per_sec\": {},\n",
-                json_f64(w.edges_per_sec)
-            ));
-            out.push_str(&format!(
                 "      \"mean_rel_error\": {},\n",
-                json_opt_f64(w.mean_rel_error)
+                json_f64(w.mean_rel_error)
             ));
             out.push_str(&format!(
                 "      \"error_bound\": {}\n",
-                json_opt_f64(w.error_bound)
+                json_f64(w.error_bound)
             ));
             out.push_str(if i + 1 == self.workloads.len() {
                 "    }\n"
@@ -553,27 +408,14 @@ impl BenchReport {
     pub fn to_table(&self) -> ExperimentTable {
         let mut table = ExperimentTable::new(
             &format!("bench ({} mode, seed {})", self.mode, self.seed),
-            &[
-                "workload",
-                "edges",
-                "p50 s",
-                "p95 s",
-                "edges/s",
-                "rel err",
-                "bound",
-                "mem words",
-            ],
+            &["workload", "edges", "rel err", "bound", "mem words"],
         );
         for w in &self.workloads {
-            let fmt_opt = |v: Option<f64>| v.map_or_else(|| "-".into(), |x| format!("{x:.4}"));
             table.push_row(vec![
                 w.name.clone(),
                 w.edges.to_string(),
-                format!("{:.4}", w.p50_latency_secs),
-                format!("{:.4}", w.p95_latency_secs),
-                format!("{:.0}", w.edges_per_sec),
-                fmt_opt(w.mean_rel_error),
-                fmt_opt(w.error_bound),
+                format!("{:.4}", w.mean_rel_error),
+                format!("{:.4}", w.error_bound),
                 w.memory_words.map_or_else(|| "-".into(), |v| v.to_string()),
             ]);
         }
@@ -614,10 +456,6 @@ fn json_f64(x: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn json_opt_f64(x: Option<f64>) -> String {
-    x.map_or_else(|| "null".to_string(), json_f64)
 }
 
 fn json_opt_usize(x: Option<usize>) -> String {
@@ -783,49 +621,54 @@ mod tests {
             seed: 7,
             workloads: vec![
                 summarize_workload(
-                    "hotpath-reference-w65536",
-                    WorkloadKind::HotPath,
-                    1_000_000,
-                    &[0.5, 0.4, 0.6],
-                    Some(65_536),
-                    None,
-                    Some(2_048),
-                    None,
-                ),
-                summarize_workload(
-                    "hotpath-pooled-w65536",
-                    WorkloadKind::HotPath,
-                    1_000_000,
-                    &[0.05, 0.04, 0.06],
-                    Some(65_536),
-                    None,
-                    Some(2_048),
-                    None,
-                ),
-                summarize_workload(
                     "accuracy-bulk-syn3reg",
                     WorkloadKind::Accuracy,
                     3_000,
-                    &[0.1],
+                    3,
                     Some(8_192),
                     None,
                     Some(1_024),
-                    Some((0.031, 0.15)),
+                    (0.031, 0.15),
                 ),
                 {
                     let mut w = summarize_workload(
                         "accuracy-jowhari-ghodsi",
                         WorkloadKind::Accuracy,
                         3_000,
-                        &[0.1],
+                        3,
                         None,
                         None,
                         Some(380),
-                        Some((0.2, 0.9)),
+                        (0.2, 0.9),
                     );
                     w.algo = Some("jowhari-ghodsi".into());
                     w.memory_words = Some(7_900);
                     w.budget_words = Some(8_192);
+                    w
+                },
+                summarize_workload(
+                    "serve-ingest",
+                    WorkloadKind::Serve,
+                    10_000,
+                    3,
+                    Some(1_024),
+                    Some(2),
+                    None,
+                    (0.0, 0.0),
+                ),
+                {
+                    let mut w = summarize_workload(
+                        "snapshot-restore",
+                        WorkloadKind::Snapshot,
+                        10_000,
+                        3,
+                        Some(1_024),
+                        Some(2),
+                        None,
+                        (0.0, 0.0),
+                    );
+                    w.snapshot_words = Some(4_200);
+                    w.memory_words = Some(4_100);
                     w
                 },
             ],
@@ -853,9 +696,6 @@ mod tests {
             "\"memory_words\"",
             "\"budget_words\"",
             "\"snapshot_words\"",
-            "\"p50_latency_secs\"",
-            "\"p95_latency_secs\"",
-            "\"edges_per_sec\"",
             "\"mean_rel_error\"",
             "\"error_bound\"",
         ] {
@@ -869,186 +709,33 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&sorted, 0.50), 3.0);
-        assert_eq!(percentile(&sorted, 0.95), 5.0);
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&[2.5], 0.95), 2.5);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-    }
-
-    #[test]
-    fn summaries_derive_throughput_from_p50() {
-        let w = summarize_workload(
-            "x",
-            WorkloadKind::Engine,
-            1_000,
-            &[0.5, 0.1, 0.2],
-            None,
-            None,
-            None,
-            None,
-        );
-        assert_eq!(w.p50_latency_secs, 0.2);
-        assert_eq!(w.p95_latency_secs, 0.5);
-        assert_eq!(w.edges_per_sec, 5_000.0);
-        assert!(!w.exceeds_bound(), "no accuracy fields, no gate");
-    }
-
-    #[test]
-    fn hot_path_gate_compares_pooled_against_reference_rows() {
-        // No hot-path rows: nothing to gate.
-        let empty = BenchReport {
-            workloads: Vec::new(),
-            ..sample_report()
-        };
-        assert!(empty.hot_path_regressions().is_empty());
-        // The sample's w65536 pair is 10x faster and passes.
-        let mut report = sample_report();
-        assert!(report.hot_path_regressions().is_empty());
-        let row = |name: &str, p50: f64| {
-            summarize_workload(
-                name,
-                WorkloadKind::HotPath,
-                10_000,
-                &[p50],
-                Some(4_096),
-                None,
-                Some(2_048),
-                None,
-            )
-        };
-        report.workloads.push(row("hotpath-reference-w4096", 0.10));
-        report.workloads.push(row("hotpath-pooled-w4096", 0.05));
-        assert!(report.hot_path_regressions().is_empty(), "2x faster passes");
-        // Slower but within tolerance still passes…
-        report.workloads.last_mut().unwrap().p50_latency_secs = 0.10 * HOT_PATH_TOLERANCE;
-        assert!(report.hot_path_regressions().is_empty());
-        // …one tick beyond it fails.
-        report.workloads.last_mut().unwrap().p50_latency_secs = 0.10 * HOT_PATH_TOLERANCE * 1.01;
-        assert_eq!(report.hot_path_regressions(), vec!["hotpath-pooled-w4096"]);
-        // A pooled row with no reference row must fail, not pass silently.
-        report.workloads.push(row("hotpath-pooled-w256", 0.01));
-        assert_eq!(report.hot_path_regressions().len(), 2);
-        // Non-finite latencies must fail too.
-        report.workloads.last_mut().unwrap().p50_latency_secs = f64::NAN;
-        report.workloads.push(row("hotpath-reference-w256", 0.10));
-        assert!(report
-            .hot_path_regressions()
-            .contains(&"hotpath-pooled-w256".to_string()));
-        // Fail closed on shape: a reference row with no pooled partner and
-        // a hot-path row matching neither naming convention are both
-        // regressions, never silently skipped.
-        report.workloads.push(row("hotpath-reference-w1024", 0.10));
-        assert!(report
-            .hot_path_regressions()
-            .contains(&"hotpath-reference-w1024".to_string()));
-        report.workloads.push(row("hot-path-pooled-w512", 0.01));
-        assert!(report
-            .hot_path_regressions()
-            .contains(&"hot-path-pooled-w512".to_string()));
-    }
-
-    #[test]
-    fn serve_ingest_gate_compares_against_the_matching_engine_row() {
-        let mut report = sample_report();
-        // No serve-ingest row: nothing to gate.
-        assert!(report.serve_ingest_regressions().is_empty());
-        let row = |name: &str, kind, p50: f64| {
-            summarize_workload(name, kind, 20_000, &[p50], Some(4_096), Some(4), None, None)
-        };
-        report
-            .workloads
-            .push(row("serve-ingest", WorkloadKind::Serve, 0.01));
-        // The engine partner is missing: fail closed.
-        assert_eq!(report.serve_ingest_regressions(), vec!["serve-ingest"]);
-        report
-            .workloads
-            .push(row("engine-persistent-w4096", WorkloadKind::Engine, 0.008));
-        // 0.8x the engine's rate clears the 0.5x floor.
-        assert!(report.serve_ingest_regressions().is_empty());
-        let serve = report.workloads.len() - 2;
-        // A stalled daemon at 1/70 of the engine's rate fails.
-        report.workloads[serve] = row("serve-ingest", WorkloadKind::Serve, 0.56);
-        assert_eq!(report.serve_ingest_regressions(), vec!["serve-ingest"]);
-        // A partner at another shard count is no partner.
-        report.workloads[serve] = row("serve-ingest", WorkloadKind::Serve, 0.001);
-        report.workloads[serve].shards = Some(2);
-        assert_eq!(report.serve_ingest_regressions(), vec!["serve-ingest"]);
-    }
-
-    #[test]
-    fn hot_path_serve_and_snapshot_kinds_serialise_in_current_schema() {
-        let mut report = sample_report();
-        report.workloads.push(summarize_workload(
-            "serve-ingest",
-            WorkloadKind::Serve,
-            10_000,
-            &[0.03],
-            Some(1_024),
-            Some(2),
-            Some(2_048),
-            None,
-        ));
-        report.workloads.push(summarize_workload(
-            "hotpath-pooled-w4096",
-            WorkloadKind::HotPath,
-            10_000,
-            &[0.05],
-            Some(4_096),
-            None,
-            Some(2_048),
-            None,
-        ));
-        report.workloads.push({
-            let mut w = summarize_workload(
-                "snapshot-restore",
-                WorkloadKind::Snapshot,
-                10_000,
-                &[0.002],
-                Some(1_024),
-                Some(2),
-                None,
-                Some((0.0, 0.0)),
-            );
-            w.snapshot_words = Some(4_200);
-            w.memory_words = Some(4_100);
-            w
-        });
-        let json = report.to_json();
+    fn serve_and_snapshot_kinds_serialise_in_current_schema() {
+        let json = sample_report().to_json();
         assert_valid_json(&json);
-        assert!(json.contains("\"kind\": \"hot-path\""), "{json}");
         assert!(json.contains("\"kind\": \"serve\""), "{json}");
         assert!(json.contains("\"kind\": \"snapshot\""), "{json}");
         assert!(json.contains("\"snapshot_words\": 4200"), "{json}");
         // Workloads outside the snapshot family carry an explicit null.
         assert!(json.contains("\"snapshot_words\": null"), "{json}");
-        assert!(
-            json.contains(&format!("\"schema_version\": {BENCH_SCHEMA_VERSION}")),
-            "{json}"
-        );
+        // The parity rows serialise their exact-zero bound as a number.
+        assert!(json.contains("\"error_bound\": 0.0"), "{json}");
     }
 
     #[test]
     fn gate_flags_only_workloads_over_their_bound() {
         let mut report = sample_report();
         assert!(report.gate_failures().is_empty());
-        report.workloads[2].mean_rel_error = Some(0.2);
+        report.workloads[0].mean_rel_error = 0.2;
         assert_eq!(report.gate_failures(), vec!["accuracy-bulk-syn3reg"]);
         // A NaN error must fail the gate, not slip through a `<` compare.
-        report.workloads[2].mean_rel_error = Some(f64::NAN);
+        report.workloads[0].mean_rel_error = f64::NAN;
         assert_eq!(report.gate_failures().len(), 1);
-    }
-
-    #[test]
-    fn speedup_compares_hot_path_workloads() {
-        let report = sample_report();
-        let speedup = report
-            .speedup("hotpath-pooled-w65536", "hotpath-reference-w65536")
-            .unwrap();
-        assert!((speedup - 10.0).abs() < 1e-9, "0.5s vs 0.05s → 10x");
-        assert!(report.speedup("hotpath-pooled-w65536", "nope").is_none());
+        // A parity row fails on any mismatch: its bound is exactly zero.
+        report.workloads[2].mean_rel_error = 1.0 / 3.0;
+        assert_eq!(
+            report.gate_failures(),
+            vec!["accuracy-bulk-syn3reg", "serve-ingest"]
+        );
     }
 
     #[test]
@@ -1065,7 +752,7 @@ mod tests {
         let t = sample_report().to_table();
         assert_eq!(t.len(), 4);
         let rendered = t.render();
-        assert!(rendered.contains("hotpath-pooled-w65536"));
+        assert!(rendered.contains("snapshot-restore"));
         assert!(
             rendered.contains("7900"),
             "head-to-head rows show measured memory words:\n{rendered}"

@@ -127,7 +127,7 @@ pub enum Command {
     Bench {
         /// Use the smoke configuration (CI-sized) instead of the full one.
         smoke: bool,
-        /// Exit non-zero if any workload exceeds its accuracy bound.
+        /// Exit non-zero if any workload exceeds its documented bound.
         check: bool,
         /// Base RNG seed for the whole suite.
         seed: u64,
@@ -292,11 +292,11 @@ instead, which every subcommand reads transparently; `convert` translates
 between the two (exactly one side must be `.tsb`, and `--timestamps` adds a
 stream-position timestamp column when writing `.tsb`).
 
-`bench` runs the gated workloads (accuracy vs exact, pooled vs reference
-bulk hot path, serve ingest vs the sharded engine, socket and restore
-parity) and writes a machine-readable BENCH.json (default path:
-BENCH.json); `--check` makes a gate violation a non-zero exit, which is
-how CI gates. Timing at real shapes is perfbench's job
+`bench` runs the gated correctness workloads (accuracy vs exact, the
+equal-memory head-to-head, socket and restore bit-parity) and writes a
+machine-readable BENCH.json (default path: BENCH.json) that is a pure
+function of the seed; `--check` makes a gate violation a non-zero exit,
+which is how CI gates. Timing is perfbench's job
 (`python3 perfbench/run.py`).
 
 `serve` runs the multi-tenant streaming estimation daemon: clients CREATE

@@ -484,18 +484,16 @@ fn bench_smoke_emits_machine_readable_json() {
     ]);
     assert!(bench.status.success(), "bench failed: {bench:?}");
     let text = stdout(&bench);
-    assert!(text.contains("accuracy gate: ok"), "{text}");
+    assert!(text.contains("gate: ok"), "{text}");
     let json = std::fs::read_to_string(&json_path).expect("bench wrote the report");
     for field in [
         "\"schema\": \"tristream-bench\"",
-        "\"schema_version\": 9",
+        "\"schema_version\": 10",
         "\"snapshot-restore\"",
         "\"kind\": \"snapshot\"",
         "\"snapshot_words\"",
-        "\"engine-persistent-w4096\"",
-        "\"hotpath-reference-w4096\"",
-        "\"hotpath-pooled-w4096\"",
-        "\"kind\": \"hot-path\"",
+        "\"serve-ingest\"",
+        "\"kind\": \"serve\"",
         "\"accuracy-bulk-syn3reg\"",
         "\"accuracy-parallel-planted\"",
         "\"accuracy-neighborhood-bulk\"",
@@ -514,12 +512,17 @@ fn bench_smoke_emits_machine_readable_json() {
         "ingest-",
         "serve-query",
         "snapshot-encode",
-        "engine-persistent-w65536",
+        "engine-persistent",
+        "hotpath-",
+        "hot-path",
         "binary_vs_text_ingest_speedup",
+        "p50_latency_secs",
+        "p95_latency_secs",
+        "edges_per_sec",
     ] {
         assert!(
             !json.contains(gone),
-            "schema 9 has no {gone} rows or fields:\n{json}"
+            "schema 10 has no {gone} rows or fields:\n{json}"
         );
     }
     let _ = std::fs::remove_file(&json_path);

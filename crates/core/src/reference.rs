@@ -3,21 +3,16 @@
 //! [`ReferenceBulkCounter`] is the array-of-structs, std-`HashMap`,
 //! allocate-per-batch implementation of Theorem 3.5 that
 //! [`crate::bulk::BulkTriangleCounter`] replaced when the hot path moved to
-//! the struct-of-arrays [`crate::pool::EstimatorPool`]. It exists for two
-//! consumers only:
+//! the struct-of-arrays [`crate::pool::EstimatorPool`]. It exists as a
+//! test oracle: the pooled counter consumes the RNG stream in exactly the
+//! order this implementation does, so for any seed and any batch
+//! boundaries the two must be *bit-identical*, estimator by estimator.
+//! `tests/pool_equivalence.rs` pins that, which is a strictly stronger
+//! guarantee than the distributional identity Theorem 3.5 requires. It is
+//! public because those integration tests live outside the crate.
 //!
-//! * **Tests** — the pooled counter consumes the RNG stream in exactly the
-//!   order this implementation does, so for any seed and any batch
-//!   boundaries the two must be *bit-identical*, estimator by estimator.
-//!   `tests/pool_equivalence.rs` pins that, which is a strictly stronger
-//!   guarantee than the distributional identity Theorem 3.5 requires.
-//! * **Benches** — the `hot-path` workload family in `tristream-bench`
-//!   races this counter against the pooled one over the batch-size sweep
-//!   and records both rows in `BENCH.json`, so the speedup stays a
-//!   measured, machine-readable claim instead of a one-off number.
-//!
-//! It is **not** a production path: nothing outside tests and benches
-//! should construct one. The algorithmic comments live in [`crate::bulk`];
+//! It is **not** a production path: nothing outside tests should
+//! construct one. The algorithmic comments live in [`crate::bulk`];
 //! this file intentionally preserves the old control flow (including its
 //! per-batch `HashMap` allocations) without restating the rationale.
 

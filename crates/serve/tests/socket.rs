@@ -368,7 +368,9 @@ fn version_mismatches_are_refused_with_unsupported_version() {
 /// Regression guard for the Nagle × delayed-ACK stall: a frame written in
 /// pieces onto a socket without `TCP_NODELAY` waits up to 40 ms for the
 /// peer's ACK, so 100 round trips took seconds. Without the stall each is
-/// well under a millisecond, even in a debug build.
+/// well under a millisecond, even in a debug build. Both request types
+/// that carry a payload are guarded: 100 EDGES frames (ingest), then 100
+/// QUERY frames.
 #[test]
 fn query_round_trips_do_not_stall_on_the_socket() {
     let (addr, server) = spawn_server();
@@ -376,20 +378,25 @@ fn query_round_trips_do_not_stall_on_the_socket() {
     client
         .create_stream(&CreateStream::new("quick", "neighborhood-bulk"))
         .expect("create");
-    client
-        .send_edges("quick", &test_edges()[..256])
+    let start = std::time::Instant::now();
+    let frames = client
+        .send_edges_batched("quick", &test_edges()[..800], 8)
         .expect("edges");
+    let edges_elapsed = start.elapsed();
+    assert_eq!(frames, 100);
     let start = std::time::Instant::now();
     for _ in 0..100 {
         client.query("quick").expect("query");
     }
-    let elapsed = start.elapsed();
+    let query_elapsed = start.elapsed();
     client.shutdown().expect("shutdown");
     server.join().expect("join").expect("server run");
-    assert!(
-        elapsed < std::time::Duration::from_millis(1500),
-        "100 QUERY round trips took {elapsed:?}"
-    );
+    for (frame, elapsed) in [("EDGES", edges_elapsed), ("QUERY", query_elapsed)] {
+        assert!(
+            elapsed < std::time::Duration::from_millis(1500),
+            "100 {frame} round trips took {elapsed:?}"
+        );
+    }
 }
 
 /// Compile-time-ish guard used by the drain test above: a `ClientError`
